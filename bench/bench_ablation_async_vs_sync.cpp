@@ -118,7 +118,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: chaotic (gated) vs synchronous iteration message bill");
+      "Ablation: chaotic (gated) vs synchronous iteration message bill",
+      benchutil::kPaperSizes);
   TextTable table({"Config", "async msgs(M)", "async passes", "async max err",
                    "sync msgs(M)", "sync passes", "sync max err", "savings"});
   for (const auto size : experiment_graph_sizes()) {

@@ -102,7 +102,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: IP caching vs per-message DHT routing (500 peers)");
+      "Ablation: IP caching vs per-message DHT routing (500 peers)",
+      benchutil::kPaperSizes);
   TextTable table({"Graph size", "cross-peer edges", "hops (cached)",
                    "hops (routed)", "routing overhead", "avg route len",
                    "cache entries"});

@@ -60,7 +60,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: centralized crawler vs distributed computation traffic");
+      "Ablation: centralized crawler vs distributed computation traffic",
+      benchutil::kPaperSizes);
   TextTable table({"Graph size", "naive crawl (MB)", "link upload (MB)",
                    "rank redistribution (MB)", "distributed updates (MB)",
                    "distributed msgs (M)"});

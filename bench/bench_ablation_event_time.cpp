@@ -96,7 +96,7 @@ void register_benchmarks() {
 void print_table() {
   benchutil::print_banner(
       "Ablation: measured event-driven time vs Eq. 4 analytic estimates "
-      "(100 peers, epsilon = 1e-3)");
+      "(100 peers, epsilon = 1e-3)", benchutil::kPaperSizes);
   TextTable table({"Config", "event sim (s)", "Eq.4 serialized (s)",
                    "Eq.4 parallel (s)", "event msgs", "pass msgs"});
   for (const auto size : experiment_graph_sizes()) {

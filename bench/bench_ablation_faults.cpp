@@ -165,7 +165,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: quality vs message drop rate (epsilon = 1e-4)");
+      "Ablation: quality vs message drop rate (epsilon = 1e-4)",
+      benchutil::kPaperSizes);
   TextTable table({"Config", "passes", "dropped", "p50 err", "avg err",
                    "p99 err", "max err", "top-100 overlap"});
   for (const auto size : experiment_graph_sizes()) {
@@ -190,7 +191,7 @@ void print_table() {
 
   benchutil::print_banner(
       "Ablation: crash recovery (5% drop, acked delivery, 1 replica, "
-      "mass audit)");
+      "mass audit)", benchutil::kPaperSizes);
   TextTable crash_table({"Config", "passes", "recovery passes",
                          "recovered docs", "retransmits", "repairs",
                          "mass ratio", "avg err"});

@@ -75,7 +75,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: routing cost per un-cached message, by overlay");
+      "Ablation: routing cost per un-cached message, by overlay",
+      {"50/100/200/500 peers", ""});
   TextTable table({"Peers", "Chord avg", "Pastry avg", "CAN avg",
                    "Chord max", "Pastry max", "CAN max"});
   for (const int peers : {50, 100, 200, 500}) {

@@ -79,7 +79,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: placement policy (500 peers, epsilon = 1e-3)");
+      "Ablation: placement policy (500 peers, epsilon = 1e-3)",
+      benchutil::kPaperSizes);
   TextTable table({"Config", "cross-peer edges", "network msgs",
                    "free local updates", "passes", "msgs vs random"});
   for (const auto size : experiment_graph_sizes()) {

@@ -95,7 +95,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Ablation: keeping cached copies rank-correct (500 peers, eps 1e-3)");
+      "Ablation: keeping cached copies rank-correct (500 peers, eps 1e-3)",
+      benchutil::kPaperSizes);
   TextTable table({"Config", "messages", "to replicas", "stale skips",
                    "overhead"});
   for (const auto size : experiment_graph_sizes()) {

@@ -118,7 +118,9 @@ std::uint64_t latency_percentile(std::vector<std::uint64_t> v, double q) {
 }
 
 void print_table() {
-  benchutil::print_banner("Chaos soak: join/leave/crash churn mid-convergence");
+  benchutil::print_banner(
+      "Chaos soak: join/leave/crash churn mid-convergence",
+      {"2k docs", "10k docs"});
   TextTable table({"Config", "passes", "mass ratio", "events (j/l/c)",
                    "handoffs", "stale queries", "dropped dead", "gave up",
                    "detect p50/max", "live at end", "stable digest"});

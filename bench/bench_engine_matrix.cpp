@@ -196,7 +196,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Engine matrix: messages / passes / quality per engine");
+      "Engine matrix: messages / passes / quality per engine",
+      {"2k docs / 40 peers", "2k docs / 40 peers + 10k docs / 500 peers"});
   TextTable table({"Case", "conv", "passes", "messages", "local", "L1 err",
                    "top-100", "tau", "mass", "stable"});
   for (const MatrixCase& c : cases()) {

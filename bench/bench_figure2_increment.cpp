@@ -57,7 +57,9 @@ void BM_WebGraphProbe(benchmark::State& state) {
 }
 
 void print_figure() {
-  benchutil::print_banner("Figure 2: increment propagation example");
+  benchutil::print_banner(
+      "Figure 2: increment propagation example",
+      benchutil::kPaperSizes);
   const Digraph g = figure2_graph();
   const char* names = "GHIJKL";
 

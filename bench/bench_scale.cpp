@@ -148,7 +148,8 @@ void register_benchmarks() {
 void print_table() {
   benchutil::print_banner(
       "Scale sweep: pass-capped hot path (" + std::to_string(kPassCap) +
-      " passes, epsilon = 1e-3)");
+      " passes, epsilon = 1e-3)",
+      {"100k docs x 500 peers", "100k/500k/1M docs x 500/2k peers"});
   TextTable table({"Docs/peers", "us/pass", "gather GB/s",
                    "scalar GB/s", "B/edge", "B/node", "engine MB",
                    "peak RSS MB"});

@@ -215,7 +215,8 @@ double mass_worst(const std::vector<double>& ratios) {
 
 void print_table() {
   benchutil::print_banner(
-      "Streaming live-rank: staleness vs batch size at fixed ingest rate");
+      "Streaming live-rank: staleness vs batch size at fixed ingest rate",
+      {"2k docs / 240 events", "10k docs / 960 events"});
   TextTable table({"Config", "events", "batches", "staleness mean",
                    "staleness max", "lag mean", "mass worst", "topk hit/rec",
                    "stable digest"});

@@ -109,7 +109,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Table 1: passes to convergence (500 peers, epsilon = 1e-3)");
+      "Table 1: passes to convergence (500 peers, epsilon = 1e-3)",
+      benchutil::kPaperSizes);
   TextTable table({"Graph size", "100% peers", "75% peers", "50% peers"});
   for (const auto size : experiment_graph_sizes()) {
     std::vector<std::string> row{size_label(size)};

@@ -68,7 +68,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Table 2: relative error |R_d - R_c| / R_c vs threshold epsilon");
+      "Table 2: relative error |R_d - R_c| / R_c vs threshold epsilon",
+      benchutil::kPaperSizes);
   for (const auto size : experiment_graph_sizes()) {
     std::cout << "Relative error for " << size_label(size) << " nodes:\n";
     std::vector<std::string> header{"% pages"};

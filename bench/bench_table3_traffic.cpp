@@ -75,7 +75,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Table 3: message traffic vs threshold (24-byte updates)");
+      "Table 3: message traffic vs threshold (24-byte updates)",
+      benchutil::kPaperSizes);
   const auto sizes = experiment_graph_sizes();
   const auto largest = sizes.back();
 

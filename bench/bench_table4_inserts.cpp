@@ -93,7 +93,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Table 4: insert propagation, 1000 random documents per cell");
+      "Table 4: insert propagation, 1000 random documents per cell",
+      benchutil::kPaperSizes);
   const auto sizes = experiment_graph_sizes();
 
   std::cout << "Path length:\n";

@@ -154,7 +154,8 @@ void register_benchmarks() {
 
 void print_table() {
   benchutil::print_banner(
-      "Table 6: incremental search traffic (20 queries each)");
+      "Table 6: incremental search traffic (20 queries each)",
+      {"11k-doc corpus", ""});
   TextTable table({"Policy", "2-term reduction", "3-term reduction",
                    "2-term avg hits", "3-term avg hits",
                    "2-term avg IDs moved", "3-term avg IDs moved"});

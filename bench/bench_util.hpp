@@ -64,11 +64,26 @@ class ResultStore {
   std::map<std::string, Value> results_;
 };
 
-inline void print_banner(const std::string& title) {
+/// What a bench runs, as its banner states it: `quick` by default and
+/// `full` under DPRANK_FULL=1; an empty `full` means the bench does not
+/// scale.
+struct Sizes {
+  std::string quick;
+  std::string full;
+};
+
+/// The paper's sweep (common/env.hpp experiment_graph_sizes()).
+inline const Sizes kPaperSizes{"10k/100k docs", "10k/100k/500k/5000k docs"};
+
+inline void print_banner(const std::string& title, const Sizes& sizes) {
   std::cout << "\n=== " << title << " ===\n";
-  if (!full_scale_requested()) {
-    std::cout << "(quick mode: sizes 10k/100k; set DPRANK_FULL=1 for the "
-                 "paper's full 10k/100k/500k/5000k sweep)\n";
+  if (sizes.full.empty()) {
+    std::cout << "(sizes: " << sizes.quick << ")\n";
+  } else if (full_scale_requested()) {
+    std::cout << "(full mode: " << sizes.full << ")\n";
+  } else {
+    std::cout << "(quick mode: " << sizes.quick << "; set DPRANK_FULL=1 for "
+              << sizes.full << ")\n";
   }
   std::cout << "\n";
 }

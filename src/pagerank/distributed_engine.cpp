@@ -1,6 +1,7 @@
 #include "pagerank/distributed_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -9,6 +10,7 @@
 
 #include "common/contracts.hpp"
 #include "common/guid.hpp"
+#include "common/simd.hpp"
 #include "net/message.hpp"
 #include "obs/mem_probe.hpp"
 
@@ -774,8 +776,9 @@ void DistributedPagerank::prepare_parallel_state() {
   peer_scratch_.resize(num_peers);
   if (batched_exchange_) {
     if (pool_ == nullptr && !residual_mode_) {
-      // Sequential fifo runs take the fused pass_sequential path: flat
-      // scratch sized once here, so no pass ever grows an allocation.
+      // Sequential fifo runs take the compute_sequential /
+      // exchange_sequential fast path: flat scratch sized once here, so
+      // no pass ever grows an allocation.
       seq_fast_ = true;
       const NodeId n = graph_.num_nodes();
       seq_docs_.resize(n);
@@ -785,8 +788,7 @@ void DistributedPagerank::prepare_parallel_state() {
       seq_seg_end_.assign(num_peers, 0);
       seq_sender_pos_.reserve(static_cast<std::size_t>(num_peers) + 1);
       dst_count32_.assign(num_peers, 0);
-      touched_dsts_.reserve(num_peers);
-      simd_level_ = simd::active_level();
+      touched_dsts_.assign(static_cast<std::size_t>(num_peers) + 1, 0);
       return;
     }
     dst_incoming_.resize(num_peers);
@@ -1089,9 +1091,8 @@ void DistributedPagerank::exchange_batched(const std::vector<bool>& presence,
   active_dsts_.clear();
 }
 
-void DistributedPagerank::pass_sequential(const std::vector<bool>& presence,
-                                          bool all_present, PassStats& stats,
-                                          obs::Histogram* batch_hist) {
+void DistributedPagerank::compute_sequential(
+    const std::vector<bool>& presence, bool all_present, PassStats& stats) {
   // Group dirty_ peer-major with a counting sort over flat arrays: count
   // per peer, carve segments in ascending peer order, stable scatter.
   // Segment order and intra-segment order match bucket_dirty() exactly,
@@ -1112,18 +1113,17 @@ void DistributedPagerank::pass_sequential(const std::vector<bool>& presence,
   }
   // seq_seg_end_[p] now sits one past p's segment.
 
-  // Phase 1: recompute, split fold-then-epilogue per segment. The fold
-  // kernel (common/simd.hpp) writes each document's cell sum into
-  // seq_acc_ — its lane-refill path computes the sums out of document
-  // order, but every per-document fold is the exact left-to-right scalar
-  // order, so seq_acc_ is bit-identical either way. The epilogue then
-  // walks the segment strictly in bucket order, keeping the observable
-  // sequence (rank writes, max fold, sender selection) identical to the
-  // pre-vectorization loop.
+  // Recompute, fold-then-epilogue per segment. The scalar fold kernel
+  // (common/simd.hpp) writes each document's cell sum, folded strictly
+  // left to right — the per-document FP order the golden digests pin —
+  // into seq_acc_. The epilogue then walks the segment in bucket order:
+  // rank writes, max fold and sender selection. The AVX2 lane-refill
+  // kernel computes the same bits but measured slower inside the engine
+  // at every size (DESIGN.md §14.4), so the engine does not dispatch on
+  // the SIMD level.
   const double d = options_.damping;
   const double base = 1.0 - d;
   const double eps = options_.epsilon;
-  const simd::Level level = simd_level_;
   const double* cells = contrib_.data();
   const EdgeId* offsets = graph_.in_offsets_data();
   const float* inv_deg = graph_.inv_out_degrees().data();
@@ -1142,8 +1142,8 @@ void DistributedPagerank::pass_sequential(const std::vector<bool>& presence,
                          seq_docs_.data() + seg_end);
       continue;
     }
-    simd::fold_cells(level, cells, offsets, seq_docs_.data() + seg_begin,
-                     seg_end - seg_begin, seq_acc_.data() + seg_begin);
+    simd::fold_cells_scalar(cells, offsets, seq_docs_.data() + seg_begin,
+                            seg_end - seg_begin, seq_acc_.data() + seg_begin);
     for (std::uint64_t i = seg_begin; i < seg_end; ++i) {
       const NodeId v = seq_docs_[i];
       in_dirty_[v] = 0;
@@ -1160,57 +1160,68 @@ void DistributedPagerank::pass_sequential(const std::vector<bool>& presence,
   seq_sender_pos_.push_back(sender_total);
   stats.docs_recomputed = recomputed;
   stats.max_rel_change = max_rel;
-
-  // Phase 2: emission, templated on the all-present fast case so clean
-  // runs never consult the presence mask per edge.
-  if (all_present) {
-    exchange_sequential<true>(presence, stats, batch_hist);
-  } else {
-    exchange_sequential<false>(presence, stats, batch_hist);
-  }
 }
 
 template <bool kAllPresent>
 void DistributedPagerank::exchange_sequential(
     const std::vector<bool>& presence, PassStats& stats,
     obs::Histogram* batch_hist) {
-  // Mirror of exchange_batched for the sequential fifo case: identical
-  // emission order (source peers ascending, senders in recompute order),
-  // identical billing order (per source, destinations ascending), same
-  // counters — but each update is one inline cell write plus a plain
-  // per-destination tally instead of a materialized bucket.
+  // Mirror of exchange_batched for the sequential fifo case: the same
+  // emission order (source peers ascending, senders in recompute order)
+  // and the same counters, but each update is one inline cell write plus
+  // a plain per-destination tally instead of a materialized bucket.
+  //
+  // Each source peer bills its destinations in first-touch order, not
+  // sorted. Every consumer of the tally is a commutative sum of
+  // integers: the TrafficMeter counters, messages_sent and
+  // max_peer_messages, and the batch-size histogram, whose records are
+  // small integer-valued doubles (the sum stays exact; bucket counts,
+  // min and max commute). Any billing order gives the same bits.
   std::uint64_t delivered_total = 0;
   std::uint64_t local_total = 0;
-  // Size-1 wire batches dominate incremental passes; each histogram
-  // record is several atomic RMWs, so they are tallied here and recorded
-  // once at the end. record_count(1.0, k) is bit-identical to k separate
-  // record(1.0) calls: the values are small integers (sums stay exact)
-  // and bucket/min/max updates commute.
-  std::uint64_t ones = 0;
+  // Wire-batch sizes are tallied in plain counters and recorded once
+  // per size at the end of the pass: each histogram record is several
+  // atomic RMWs, and at 500 peers nearly every batch holds a handful of
+  // updates. record_count(k, n) is bit-identical to n record(k) calls,
+  // for the same reason.
+  constexpr std::uint64_t kTalliedSizes = 64;
+  std::array<std::uint64_t, kTalliedSizes> batch_tally{};
   // Narrow (32-bit) cross index when the graph carries one — half the
   // index bytes through the hottest random-access loop.
   const std::uint32_t* cross32 = graph_.out_to_in32_data();
   MassAuditor* const auditor = auditor_.get();
+  PeerId* const touched = touched_dsts_.data();
+  std::uint32_t* const dst_count = dst_count32_.data();
   for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
     const PeerId p = active_peers_[ai];
     const std::uint64_t s_begin = seq_sender_pos_[ai];
     const std::uint64_t s_end = seq_sender_pos_[ai + 1];
     if (s_begin == s_end) continue;
-    touched_dsts_.clear();
+    std::size_t num_touched = 0;
     for (std::uint64_t si = s_begin; si < s_end; ++si) {
       const NodeId u = seq_senders_[si];
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
+      const EdgeId out_begin = graph_.out_edge_begin(u);
       const EdgeId out_end = graph_.out_edge_end(u);
-      for (EdgeId e = graph_.out_edge_begin(u); e < out_end; ++e) {
+      if (auditor != nullptr) {
+        // Only periodic validation feeds the ledger on this path (the
+        // mass audit forces the ordered exchange). Ledger writes are
+        // per edge and commute, so one sweep per sender keeps the test
+        // out of the edge loop.
+        for (EdgeId e = out_begin; e < out_end; ++e) auditor->on_emit(e, c);
+      }
+      for (EdgeId e = out_begin; e < out_end; ++e) {
         const NodeId v = graph_.out_target(e);
         const PeerId pv = placement_.peer_of(v);
-        if (auditor != nullptr) auditor->on_emit(e, c);
         if (kAllPresent || presence[pv]) {
           const EdgeId cell = cross32 != nullptr
                                   ? static_cast<EdgeId>(cross32[e])
                                   : graph_.out_to_in_edge(e);
           contrib_[cell] = c;
-          if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+          // Branch-free tally: always store pv at the cursor, advance
+          // the cursor only on pv's first touch by this source peer.
+          touched[num_touched] = pv;
+          num_touched += static_cast<std::size_t>(dst_count[pv]++ == 0);
           if (!in_dirty_[v]) {
             in_dirty_[v] = 1;
             next_dirty_.push_back(v);
@@ -1228,11 +1239,11 @@ void DistributedPagerank::exchange_sequential(
         }
       }
     }
-    std::sort(touched_dsts_.begin(), touched_dsts_.end());
     std::uint64_t cross_msgs = 0;  // wire messages this peer sent
-    for (const PeerId dst : touched_dsts_) {
-      const std::uint64_t k = dst_count32_[dst];
-      dst_count32_[dst] = 0;  // ready for the next source peer
+    for (std::size_t t = 0; t < num_touched; ++t) {
+      const PeerId dst = touched[t];
+      const std::uint64_t k = dst_count[dst];
+      dst_count[dst] = 0;  // ready for the next source peer
       if (dst == p) {
         local_total += k;
         stats.local_updates += k;
@@ -1246,8 +1257,8 @@ void DistributedPagerank::exchange_sequential(
           cross_msgs += k;
         }
         if (batch_hist != nullptr) {
-          if (k == 1) {
-            ++ones;
+          if (k < kTalliedSizes) {
+            ++batch_tally[k];
           } else {
             batch_hist->record(static_cast<double>(k));
           }
@@ -1257,8 +1268,10 @@ void DistributedPagerank::exchange_sequential(
     stats.messages_sent += cross_msgs;
     stats.max_peer_messages = std::max(stats.max_peer_messages, cross_msgs);
   }
-  if (batch_hist != nullptr && ones != 0) {
-    batch_hist->record_count(1.0, ones);
+  if (batch_hist != nullptr) {
+    for (std::uint64_t k = 1; k < kTalliedSizes; ++k) {
+      batch_hist->record_count(static_cast<double>(k), batch_tally[k]);
+    }
   }
   if (!options_.coalesce_wire && delivered_total != 0) {
     meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
@@ -1314,8 +1327,7 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
   return bytes(ranks_) + bytes(contrib_) + bytes(pending_value_) +
          bytes(pending_) + bytes(pending_seq_) + bytes(in_dirty_) +
          bytes(dirty_) + bytes(next_dirty_) + bytes(seq_docs_) +
-         bytes(seq_acc_) +
-         bytes(seq_senders_) + bytes(seq_count_) + bytes(seq_seg_end_) +
+         bytes(seq_acc_) + bytes(seq_senders_) + bytes(seq_count_) + bytes(seq_seg_end_) +
          bytes(seq_sender_pos_) + bytes(dst_count32_) +
          bytes(touched_dsts_) + bytes(residual_) + bytes(last_sent_) +
          bytes(defer_age_);
@@ -1455,141 +1467,14 @@ void DistributedPagerank::validate_state() const {
   }
 }
 
-DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
-                                              const PassObserver& observer) {
-  if (ran_) throw std::logic_error("DistributedPagerank::run: already ran");
-  ran_ = true;
-  if (churn != nullptr && churn->num_peers() != placement_.num_peers()) {
-    throw std::invalid_argument("DistributedPagerank::run: churn peer count");
-  }
-  if (membership_ != nullptr && churn != nullptr) {
-    throw std::invalid_argument(
-        "DistributedPagerank::run: dynamic membership and a churn schedule "
-        "both own the presence mask; attach one or the other");
-  }
-  if (membership_ != nullptr && plan_ != nullptr &&
-      (!plan_->config().crashes.empty() ||
-       plan_->config().crash_probability > 0.0)) {
-    throw std::invalid_argument(
-        "DistributedPagerank::run: fault-plan crashes are temporary "
-        "(downtime + recovery) and index a static ownership map; with "
-        "dynamic membership, schedule crashes as membership events");
-  }
-  prepare_fault_state();
-  prepare_parallel_state();
-
-  const PeerId num_peers = placement_.num_peers();
-  const std::vector<bool> all_present(num_peers, true);
-  const bool track_replica_values = !replica_value_.empty();
-  obs::Histogram* pass_wall =
-      metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
-                          : nullptr;
-  obs::Histogram* batch_hist =
-      metrics_ != nullptr && batched_exchange_
-          ? &metrics_->histogram("pagerank.batch_size")
-          : nullptr;
-
-  DistributedRunResult result;
-  for (std::uint64_t pass = 0; pass < options_.max_passes; ++pass) {
-    // Telemetry measures the simulator itself (real wall time per pass),
-    // never feeds the simulation.
-    // dprank-analyze: allow(nondet-source) -- measures the harness only
-    // dprank-lint: allow(wall-clock)
-    const auto wall_start = std::chrono::steady_clock::now();
-    PassStats stats;
-    stats.pass = pass;
-    const std::vector<bool>* presence =
-        churn != nullptr ? &churn->presence_for_pass(pass) : &all_present;
-
-    if (membership_ != nullptr) {
-      // Membership pass hook: scheduled events strike, heartbeats feed
-      // the detector, the ring stabilizes, ownership moves — then the
-      // engine moves/wipes/rebuilds the corresponding state. The
-      // coordinator's mask is the pass's base presence (a fault plan's
-      // temporary effects compose on top below).
-      apply_membership(membership_->begin_pass(pass), pass, stats);
-      presence = &membership_->presence();
-      if (contracts::enabled()) membership_->validate();
-    }
-
-    if (plan_ != nullptr) {
-      // Fault-plan pass hook: partitions advance, crashes strike.
-      const std::vector<PeerId> crashing = plan_->begin_pass(pass, num_peers);
-      for (const PeerId p : crashing) crash_peer(p, pass);
-      stats.crashes = crashing.size();
-      presence_eff_ = *presence;
-      for (PeerId p = 0; p < num_peers; ++p) {
-        if (crashed_until_[p] > pass) presence_eff_[p] = false;
-      }
-      presence = &presence_eff_;
-      // Crashed peers whose downtime ended and whom churn brought back
-      // run recovery before any delivery touches them.
-      for (PeerId p = 0; p < num_peers; ++p) {
-        if (needs_recovery_[p] && presence_eff_[p]) {
-          recover_peer(p, presence_eff_, stats);
-        }
-      }
-      deliver_delayed(pass, *presence, stats);
-      process_retries(pass, *presence, stats);
-    }
-
-    // Phase 0: outbox drains for peers that are present this pass.
-    if (total_pending_ != 0) deliver_deferred(*presence, stats);
-
-    // Phase 1: recompute documents that received updates, sharded by
-    // owning peer (documents on absent peers stay dirty until their peer
-    // returns). Workers touch only state their shard's peer owns; the
-    // merge folds per-peer results in sorted peer order, so the outcome
-    // is identical for every thread count.
-    if (residual_mode_) {
-      // This pass's emission threshold: epsilon, or — under the adaptive
-      // schedule — loosened while last pass's max relative change was
-      // still large, tightening back to epsilon as the run settles.
-      eff_epsilon_ =
-          options_.adaptive_epsilon
-              ? std::max(options_.epsilon, std::min(0.05, prev_max_rel_ / 8.0))
-              : options_.epsilon;
-    }
-    if (seq_fast_) {
-      // Fused single-threaded fifo pass: grouping, recompute and
-      // emission in one call over flat scratch (see pass_sequential).
-      pass_sequential(*presence, churn == nullptr, stats, batch_hist);
-      prev_max_rel_ = stats.max_rel_change;
-    } else {
-    bucket_dirty();
-    parallel_region(active_peers_.size(), [&](std::size_t i, unsigned) {
-      compute_peer(active_peers_[i], *presence, track_replica_values);
-    });
-    for (const PeerId p : active_peers_) {
-      if (!(*presence)[p]) {
-        // Re-marked for the next pass (in_dirty_ stayed set).
-        next_dirty_.insert(next_dirty_.end(), peer_dirty_[p].begin(),
-                           peer_dirty_[p].end());
-        continue;
-      }
-      const PeerScratch& s = peer_scratch_[p];
-      stats.docs_recomputed += s.docs_recomputed;
-      stats.max_rel_change = std::max(stats.max_rel_change, s.max_rel);
-      stats.docs_deferred += s.deferred_docs;
-      if (!s.kept_dirty.empty()) {
-        // Deferred tail + held emissions: still flagged dirty, queued for
-        // the next pass in sorted peer order.
-        next_dirty_.insert(next_dirty_.end(), s.kept_dirty.begin(),
-                           s.kept_dirty.end());
-      }
-    }
-    prev_max_rel_ = stats.max_rel_change;
-
-    // Phase 2: senders emit their new contribution on every out-link;
-    // visible next pass (or parked in the outbox for absent peers).
-    if (batched_exchange_) {
-      exchange_batched(*presence, stats, batch_hist);
-    } else {
-    // Sequential sender-major exchange: fault fates, overlay cache warms
-    // and trace events must observe emissions in one canonical order —
-    // peers ascending, each peer's senders in recompute order.
-    for (const PeerId pu : active_peers_) {
-     for (const NodeId u : peer_scratch_[pu].senders) {
+void DistributedPagerank::exchange_ordered(const std::vector<bool>& presence,
+                                           PassStats& stats,
+                                           std::uint64_t pass) {
+  // Sequential sender-major exchange: fault fates, overlay cache warms
+  // and trace events must observe emissions in one canonical order —
+  // peers ascending, each peer's senders in recompute order.
+  for (const PeerId pu : active_peers_) {
+    for (const NodeId u : peer_scratch_[pu].senders) {
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
       for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
            ++e) {
@@ -1604,7 +1489,7 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
           mark_dirty(v);
           meter_.record_local_update();
           ++stats.local_updates;
-        } else if ((*presence)[pv] && reachable(pu, pv)) {
+        } else if (presence[pv] && reachable(pu, pv)) {
           if (auditor_ != nullptr) auditor_->on_emit(e, c);
           const std::uint32_t seq =
               channel_ != nullptr ? channel_->next_seq(e) : 0;
@@ -1661,7 +1546,7 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
             }
           }
         } else {
-          if (plan_ != nullptr && (*presence)[pv]) ++partition_deferrals_;
+          if (plan_ != nullptr && presence[pv]) ++partition_deferrals_;
           if (membership_ != nullptr && membership_->undetected_crash(pv)) {
             // The sender does not know the owner is gone yet: the query
             // goes out to the stale owner and parks until the verdict.
@@ -1677,22 +1562,199 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
           park(e, pu, pv, c, seq, tid, stats);
         }
         if (replica_eligible && replicas_ != nullptr &&
-            !replicas_->empty() && (*presence)[pv]) {
-          send_to_replicas(pu, v, *presence, stats);
+            !replicas_->empty() && presence[pv]) {
+          send_to_replicas(pu, v, presence, stats);
         }
       }
-     }
+    }
+  }
+
+  stats.max_peer_messages = 0;
+  for (const PeerId pu : active_peers_) {
+    if (peer_scratch_[pu].senders.empty()) continue;
+    stats.max_peer_messages =
+        std::max(stats.max_peer_messages, peer_msgs_this_pass_[pu]);
+    peer_msgs_this_pass_[pu] = 0;  // reset only touched entries
+  }
+}
+
+DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
+                                              const PassObserver& observer) {
+  if (ran_) throw std::logic_error("DistributedPagerank::run: already ran");
+  ran_ = true;
+  if (churn != nullptr && churn->num_peers() != placement_.num_peers()) {
+    throw std::invalid_argument("DistributedPagerank::run: churn peer count");
+  }
+  if (membership_ != nullptr && churn != nullptr) {
+    throw std::invalid_argument(
+        "DistributedPagerank::run: dynamic membership and a churn schedule "
+        "both own the presence mask; attach one or the other");
+  }
+  if (membership_ != nullptr && plan_ != nullptr &&
+      (!plan_->config().crashes.empty() ||
+       plan_->config().crash_probability > 0.0)) {
+    throw std::invalid_argument(
+        "DistributedPagerank::run: fault-plan crashes are temporary "
+        "(downtime + recovery) and index a static ownership map; with "
+        "dynamic membership, schedule crashes as membership events");
+  }
+  prepare_fault_state();
+  prepare_parallel_state();
+
+  const PeerId num_peers = placement_.num_peers();
+  const std::vector<bool> all_present(num_peers, true);
+  const bool track_replica_values = !replica_value_.empty();
+  obs::Histogram* pass_wall =
+      metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
+                          : nullptr;
+  obs::Histogram* batch_hist =
+      metrics_ != nullptr && batched_exchange_
+          ? &metrics_->histogram("pagerank.batch_size")
+          : nullptr;
+
+  // Per-phase wall split of each pass, recorded only with a registry
+  // attached: each lap charges the time since the previous one to its
+  // phase, so a pass costs six clock reads and the five phases tile the
+  // pass. Without a registry no clock is read at all.
+  enum Phase : std::uint8_t {
+    kMembership, kDeliver, kCompute, kExchange, kAudit, kNumPhases
+  };
+  static constexpr std::array<const char*, kNumPhases> kPhaseMetric = {
+      "pagerank.phase.membership_us", "pagerank.phase.deliver_us",
+      "pagerank.phase.compute_us", "pagerank.phase.exchange_us",
+      "pagerank.phase.audit_us"};
+  std::array<obs::Histogram*, kNumPhases> phase_hist{};
+  if (metrics_ != nullptr) {
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
+      phase_hist[i] = &metrics_->histogram(kPhaseMetric[i]);
+    }
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto telemetry_now = [this] {
+    if (metrics_ == nullptr) return Clock::time_point{};
+    // Telemetry measures the simulator itself (real wall time), never
+    // feeds the simulation.
+    // dprank-analyze: allow(nondet-source) -- measures the harness only
+    // dprank-lint: allow(wall-clock)
+    return std::chrono::steady_clock::now();
+  };
+  const auto micros = [](Clock::duration dt) {
+    return std::chrono::duration<double, std::micro>(dt).count();
+  };
+  Clock::time_point lap_start{};
+  const auto lap = [&](Phase phase) {
+    if (metrics_ == nullptr) return;
+    const Clock::time_point now = telemetry_now();
+    phase_hist[phase]->record(micros(now - lap_start));
+    lap_start = now;
+  };
+
+  DistributedRunResult result;
+  for (std::uint64_t pass = 0; pass < options_.max_passes; ++pass) {
+    const Clock::time_point wall_start = telemetry_now();
+    lap_start = wall_start;
+    PassStats stats;
+    stats.pass = pass;
+    const std::vector<bool>* presence =
+        churn != nullptr ? &churn->presence_for_pass(pass) : &all_present;
+
+    if (membership_ != nullptr) {
+      // Membership pass hook: scheduled events strike, heartbeats feed
+      // the detector, the ring stabilizes, ownership moves — then the
+      // engine moves/wipes/rebuilds the corresponding state. The
+      // coordinator's mask is the pass's base presence (a fault plan's
+      // temporary effects compose on top below).
+      apply_membership(membership_->begin_pass(pass), pass, stats);
+      presence = &membership_->presence();
+      if (contracts::enabled()) membership_->validate();
     }
 
-    stats.max_peer_messages = 0;
-    for (const PeerId pu : active_peers_) {
-      if (peer_scratch_[pu].senders.empty()) continue;
-      stats.max_peer_messages =
-          std::max(stats.max_peer_messages, peer_msgs_this_pass_[pu]);
-      peer_msgs_this_pass_[pu] = 0;  // reset only touched entries
+    if (plan_ != nullptr) {
+      // Fault-plan pass hook: partitions advance, crashes strike.
+      const std::vector<PeerId> crashing = plan_->begin_pass(pass, num_peers);
+      for (const PeerId p : crashing) crash_peer(p, pass);
+      stats.crashes = crashing.size();
+      presence_eff_ = *presence;
+      for (PeerId p = 0; p < num_peers; ++p) {
+        if (crashed_until_[p] > pass) presence_eff_[p] = false;
+      }
+      presence = &presence_eff_;
+      // Crashed peers whose downtime ended and whom churn brought back
+      // run recovery before any delivery touches them.
+      for (PeerId p = 0; p < num_peers; ++p) {
+        if (needs_recovery_[p] && presence_eff_[p]) {
+          recover_peer(p, presence_eff_, stats);
+        }
+      }
     }
+    lap(kMembership);
+
+    if (plan_ != nullptr) {
+      deliver_delayed(pass, *presence, stats);
+      process_retries(pass, *presence, stats);
     }
+    // Phase 0: outbox drains for peers that are present this pass.
+    if (total_pending_ != 0) deliver_deferred(*presence, stats);
+    lap(kDeliver);
+
+    // Phase 1: recompute documents that received updates, sharded by
+    // owning peer (documents on absent peers stay dirty until their peer
+    // returns). Workers touch only state their shard's peer owns; the
+    // merge folds per-peer results in sorted peer order, so the outcome
+    // is identical for every thread count.
+    if (residual_mode_) {
+      // This pass's emission threshold: epsilon, or — under the adaptive
+      // schedule — loosened while last pass's max relative change was
+      // still large, tightening back to epsilon as the run settles.
+      eff_epsilon_ =
+          options_.adaptive_epsilon
+              ? std::max(options_.epsilon, std::min(0.05, prev_max_rel_ / 8.0))
+              : options_.epsilon;
     }
+    if (seq_fast_) {
+      // Single-threaded fifo: grouping and recompute over flat scratch.
+      compute_sequential(*presence, churn == nullptr, stats);
+    } else {
+      bucket_dirty();
+      parallel_region(active_peers_.size(), [&](std::size_t i, unsigned) {
+        compute_peer(active_peers_[i], *presence, track_replica_values);
+      });
+      for (const PeerId p : active_peers_) {
+        if (!(*presence)[p]) {
+          // Re-marked for the next pass (in_dirty_ stayed set).
+          next_dirty_.insert(next_dirty_.end(), peer_dirty_[p].begin(),
+                             peer_dirty_[p].end());
+          continue;
+        }
+        const PeerScratch& s = peer_scratch_[p];
+        stats.docs_recomputed += s.docs_recomputed;
+        stats.max_rel_change = std::max(stats.max_rel_change, s.max_rel);
+        stats.docs_deferred += s.deferred_docs;
+        if (!s.kept_dirty.empty()) {
+          // Deferred tail + held emissions: still flagged dirty, queued
+          // for the next pass in sorted peer order.
+          next_dirty_.insert(next_dirty_.end(), s.kept_dirty.begin(),
+                             s.kept_dirty.end());
+        }
+      }
+    }
+    prev_max_rel_ = stats.max_rel_change;
+    lap(kCompute);
+
+    // Phase 2: senders emit their new contribution on every out-link;
+    // visible next pass (or parked in the outbox for absent peers).
+    if (seq_fast_) {
+      if (churn == nullptr) {
+        exchange_sequential<true>(*presence, stats, batch_hist);
+      } else {
+        exchange_sequential<false>(*presence, stats, batch_hist);
+      }
+    } else if (batched_exchange_) {
+      exchange_batched(*presence, stats, batch_hist);
+    } else {
+      exchange_ordered(*presence, stats, pass);
+    }
+    lap(kExchange);
 
     // Quiescence: nothing to recompute, nothing parked, nothing in
     // flight, nobody awaiting recovery — then, if auditing, the mass
@@ -1719,6 +1781,7 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
     if (quiescent && audit_enabled_) {
       quiescent = audit_and_repair(*presence, stats);
     }
+    lap(kAudit);
 
     if (tracer_ != nullptr) {
       // One span per pass on the engine track (pid 0); the clock decides
@@ -1733,14 +1796,8 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
       tracer_->advance_time(tracer_->now_us() + dur_us);
     }
 
-    if (pass_wall != nullptr) {
-      pass_wall->record(std::chrono::duration<double, std::micro>(
-                            // Same telemetry read as wall_start.
-                            // dprank-analyze: allow(nondet-source) -- ditto
-                            // dprank-lint: allow(wall-clock)
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count());
-    }
+    // The pass wall is the five phases end to end (the last lap read).
+    if (pass_wall != nullptr) pass_wall->record(micros(lap_start - wall_start));
 
     history_.push_back(stats);
     result.passes = pass + 1;

@@ -70,7 +70,6 @@
 
 #include "common/arena.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
@@ -444,8 +443,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   // recompute — the engine's hottest loop — streams them sequentially.
   // Everything keyed by message identity (outbox, sequence numbers,
   // audit ledger) stays on out-edge ids; writes translate through
-  // Digraph::out_to_in_edge. 64-byte aligned: the vector gather kernel
-  // (common/simd.hpp) sweeps this array.
+  // Digraph::out_to_in_edge. 64-byte aligned: the recompute fold
+  // sweeps this array.
   AlignedVec<double> contrib_;
   // Outbox parking values: scalar random writes only, the fold kernel
   // never streams them. dprank-lint: allow(unaligned-hot-buffer)
@@ -530,25 +529,31 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// per-update traffic, apply and mark sharded by destination peer.
   void exchange_batched(const std::vector<bool>& presence, PassStats& stats,
                         obs::Histogram* batch_hist);
-  /// Single-threaded fifo fast path: one fused pass replacing
-  /// bucket_dirty + compute_peer + merge + exchange. The dirty set is
-  /// grouped peer-major into flat preallocated arrays (counting sort —
-  /// no per-peer vectors, no pass-0 allocation storm), documents are
-  /// recomputed through the vector fold kernel (common/simd.hpp; one
-  /// document per lane, per-lane left-to-right cell order), and delivery
-  /// is one cell write at the emission site with plain per-destination
-  /// tallies (at 500 peers the median batch is one update, so
-  /// materialized buckets cost more than the updates). Ranks, counters,
-  /// traffic and dirty-set membership are bit-identical to the sharded
-  /// path — the golden-digest tests pin this; only the order of
-  /// next_dirty_ differs, which no observable state depends on.
-  void pass_sequential(const std::vector<bool>& presence, bool all_present,
-                       PassStats& stats, obs::Histogram* batch_hist);
-  /// Emission half of pass_sequential; kAllPresent elides the per-edge
-  /// presence test on churn-free runs.
+  /// Single-threaded fifo fast path, compute half: replaces
+  /// bucket_dirty + compute_peer + merge. The dirty set is grouped
+  /// peer-major into flat preallocated arrays (counting sort — no
+  /// per-peer vectors, no pass-0 allocation storm) and each segment is
+  /// folded by the scalar kernel (common/simd.hpp). Ranks, counters and
+  /// dirty-set membership are bit-identical to the sharded path — the
+  /// golden-digest tests pin this; only the order of next_dirty_
+  /// differs, which no observable state depends on.
+  void compute_sequential(const std::vector<bool>& presence,
+                          bool all_present, PassStats& stats);
+  /// Exchange half of the fast path: delivery is one cell write at the
+  /// emission site plus a per-destination tally (at 500 peers the median
+  /// batch is one update, so materialized buckets cost more than the
+  /// updates). Each source peer's destinations are billed in first-touch
+  /// order, unsorted: every consumer of the tally is a commutative sum.
+  /// kAllPresent elides the per-edge presence test on churn-free runs.
   template <bool kAllPresent>
   void exchange_sequential(const std::vector<bool>& presence,
                            PassStats& stats, obs::Histogram* batch_hist);
+  /// Ordered sender-major exchange (fault plan, tracer, replicas,
+  /// overlay, membership or audit attached): peers ascending, each
+  /// peer's senders in recompute order, so fault fates, cache warms and
+  /// trace events observe one canonical emission order.
+  void exchange_ordered(const std::vector<bool>& presence, PassStats& stats,
+                        std::uint64_t pass);
 
   std::unique_ptr<ThreadPool> pool_;   // only when options_.threads > 1
   bool batched_exchange_ = false;
@@ -559,11 +564,10 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::vector<std::vector<DstSlice>> dst_incoming_;
   std::vector<std::vector<NodeId>> dst_marked_;
   std::vector<PeerId> active_dsts_;    // destinations this pass, sorted
-  // ---- fused sequential-pass scratch (pass_sequential only) ----
+  // ---- single-threaded fifo fast-path scratch ----
   bool seq_fast_ = false;
-  simd::Level simd_level_ = simd::Level::kScalar;  // hoisted per run
   AlignedVec<NodeId> seq_docs_;     // dirty docs, grouped peer-major
-  AlignedVec<double> seq_acc_;      // per-doc cell sums from the fold kernel
+  AlignedVec<double> seq_acc_;      // per-doc cell sums from the fold
   AlignedVec<NodeId> seq_senders_;  // epsilon-exceeding docs, peer-major
   std::vector<std::uint32_t> seq_count_;    // per peer: docs this pass
   std::vector<std::uint64_t> seq_seg_end_;  // per peer: scatter cursor,
@@ -572,6 +576,9 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::vector<std::uint64_t> seq_sender_pos_;
   // exchange_sequential scratch: per-destination update counts, reset
   // through touched_dsts_ after each source peer instead of cleared.
+  // touched_dsts_ holds num_peers + 1 entries: the branch-free tally
+  // stores every destination at the cursor, so once a source has
+  // touched all num_peers peers its next store lands one past them.
   std::vector<std::uint32_t> dst_count32_;
   std::vector<PeerId> touched_dsts_;
 

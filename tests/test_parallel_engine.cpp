@@ -17,6 +17,7 @@
 #include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
 #include "net/ip_cache.hpp"
+#include "obs/metrics.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
 #include "pagerank/distributed_engine.hpp"
@@ -245,6 +246,97 @@ TEST(ParallelEngine, CoalescedBillingKeepsRanksAndCountsUpdates) {
   std::uint64_t sent = 0;
   for (const PassStats& p : co.history) sent += p.messages_sent;
   EXPECT_EQ(sent, co.messages);
+}
+
+// Billing order. threads=1 takes the fused exchange, which bills each
+// source peer's destinations in first-touch order; threads=4 bills the
+// batched exchange's buckets sorted by destination. Every consumer of
+// the per-destination tally is a commutative integer sum, so the ledger
+// and the batch-size histogram must come out identical either way.
+struct Billing {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t batched_updates = 0;
+  std::uint64_t local_updates = 0;
+  obs::HistogramSummary batch;
+  std::vector<std::pair<double, std::uint64_t>> batch_buckets;
+  std::vector<PassStats> history;
+};
+
+Billing bill(std::uint32_t threads, bool coalesce, NodeId docs, PeerId peers,
+             std::uint64_t seed) {
+  const Digraph g = paper_graph(docs, seed);
+  const auto placement = Placement::random(docs, peers, seed);
+  PagerankOptions o;
+  o.epsilon = 1e-3;
+  o.threads = threads;
+  o.coalesce_wire = coalesce;
+  DistributedPagerank engine(g, placement, o);
+  obs::MetricsRegistry reg;
+  engine.attach_metrics(reg);
+  EXPECT_TRUE(engine.run().converged);
+  Billing b;
+  b.messages = engine.traffic().messages();
+  b.bytes = engine.traffic().bytes();
+  b.batched_updates = engine.traffic().batched_updates();
+  b.local_updates = engine.traffic().local_updates();
+  const obs::Histogram& h = reg.histogram("pagerank.batch_size");
+  b.batch = h.summarize();
+  b.batch_buckets = h.buckets();
+  b.history = engine.pass_history();
+  return b;
+}
+
+void expect_same_billing(const Billing& a, const Billing& b) {
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.batched_updates, b.batched_updates);
+  EXPECT_EQ(a.local_updates, b.local_updates);
+  EXPECT_EQ(a.batch.count, b.batch.count);
+  EXPECT_EQ(a.batch.sum, b.batch.sum);
+  EXPECT_EQ(a.batch.min, b.batch.min);
+  EXPECT_EQ(a.batch.max, b.batch.max);
+  EXPECT_EQ(a.batch_buckets, b.batch_buckets);
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    EXPECT_EQ(a.history[i].messages_sent, b.history[i].messages_sent)
+        << "pass " << i;
+    EXPECT_EQ(a.history[i].max_peer_messages, b.history[i].max_peer_messages)
+        << "pass " << i;
+  }
+}
+
+TEST(ParallelEngine, BillingIsOrderFree) {
+  for (const bool coalesce : {false, true}) {
+    SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
+    const Billing fused = bill(1, coalesce, kDocs, kPeers, 42);
+    const Billing sorted = bill(4, coalesce, kDocs, kPeers, 42);
+    ASSERT_GT(fused.batch.count, 0u);
+    ASSERT_GT(fused.batch.max, 1.0);  // multi-update batches were billed
+    expect_same_billing(fused, sorted);
+  }
+}
+
+TEST(ParallelEngine, BillingIsOrderFreeWhenOneSourceTouchesEveryPeer) {
+  // Few peers, many documents: in pass 0 every document sends, so a
+  // source peer reaches every destination (itself included) and keeps
+  // emitting after its last first touch. The fused exchange's tally
+  // stores at its cursor on every emission, so this case runs the
+  // cursor one past num_peers entries.
+  constexpr PeerId kFewPeers = 3;
+  for (const bool coalesce : {false, true}) {
+    SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
+    const Billing fused = bill(1, coalesce, kDocs, kFewPeers, 7);
+    const Billing sorted = bill(4, coalesce, kDocs, kFewPeers, 7);
+    ASSERT_FALSE(fused.history.empty());
+    EXPECT_GT(fused.history[0].local_updates, 0u);
+    if (coalesce) {
+      // One wire message per remote destination: some source peer
+      // billed all of the others in pass 0.
+      EXPECT_EQ(fused.history[0].max_peer_messages, kFewPeers - 1);
+    }
+    expect_same_billing(fused, sorted);
+  }
 }
 
 TEST(ParallelEngine, ThreadsBeyondPeersAreHarmless) {
