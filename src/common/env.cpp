@@ -24,7 +24,7 @@ std::uint32_t experiment_threads() {
   if (v == nullptr || v[0] == '\0') return 1;
   const unsigned long parsed = std::strtoul(v, nullptr, 10);
   if (parsed < 1) return 1;
-  if (parsed > 256) return 256;
+  if (parsed > kMaxThreads) return kMaxThreads;
   return static_cast<std::uint32_t>(parsed);
 }
 

@@ -19,8 +19,13 @@ namespace dprank {
 /// Experiment seed: DPRANK_SEED if set, else the fixed default (42).
 [[nodiscard]] std::uint64_t experiment_seed();
 
+/// Upper bound on the distributed engine's worker count: the engine
+/// constructor and `dprank_cli rank --threads` reject more, and
+/// DPRANK_THREADS is clamped to it.
+inline constexpr std::uint32_t kMaxThreads = 256;
+
 /// Pass-parallel worker count for the distributed engine: DPRANK_THREADS
-/// if set (clamped to [1, 256]), else 1. Thread count never changes the
+/// if set (clamped to [1, kMaxThreads]), else 1. Thread count never changes the
 /// results — only the wall time — so benches can sweep it freely.
 [[nodiscard]] std::uint32_t experiment_threads();
 

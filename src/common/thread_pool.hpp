@@ -2,8 +2,8 @@
 
 // Reusable fork-join worker pool.
 //
-// The distributed engine runs two parallel regions per pass (recompute,
-// batch apply) for hundreds of passes; spawning threads per region would
+// The distributed engine runs one parallel region per pass (the
+// recompute) for hundreds of passes; spawning threads per region would
 // dominate the pass cost, so the pool keeps its workers alive across
 // regions. The scheduling model is deliberately minimal:
 //

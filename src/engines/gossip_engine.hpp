@@ -28,8 +28,8 @@
 // (delivered cell, or parked newest value) equals its last emitted
 // value exactly; run() reports the ratio as mass_ratio.
 //
-// The engine is sequential (PagerankOptions::threads and ::schedule are
-// ignored — the randomized selection *is* the schedule).
+// The engine is sequential (PagerankOptions::threads is ignored); the
+// randomized selection is its schedule.
 
 #include <cstdint>
 #include <vector>

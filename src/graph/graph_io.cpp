@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dprank {
@@ -52,6 +54,24 @@ Digraph load_graph(const std::filesystem::path& path) {
   }
   const auto n = read_pod<std::uint64_t>(is);
   const auto m = read_pod<std::uint64_t>(is);
+  // The header is untrusted: a node count outside the NodeId range would
+  // truncate silently, and an edge count the file cannot hold would size
+  // the reserve below from a lie.
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw std::runtime_error("load_graph: node count " + std::to_string(n) +
+                             " exceeds the NodeId range in " + path.string());
+  }
+  const std::streamoff header_end = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto bytes_left =
+      static_cast<std::uint64_t>(is.tellg() - header_end);
+  is.seekg(header_end);
+  constexpr std::uint64_t kEdgeBytes = 2 * sizeof(NodeId);
+  if (m > bytes_left / kEdgeBytes) {
+    throw std::runtime_error("load_graph: edge count " + std::to_string(m) +
+                             " exceeds the " + std::to_string(bytes_left) +
+                             " bytes left in " + path.string());
+  }
   std::vector<Edge> edges;
   edges.reserve(m);
   for (std::uint64_t i = 0; i < m; ++i) {

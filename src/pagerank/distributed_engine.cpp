@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/contracts.hpp"
+#include "common/env.hpp"
 #include "common/guid.hpp"
 #include "common/simd.hpp"
 #include "net/message.hpp"
@@ -23,6 +22,12 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   if (placement.num_docs() != g.num_nodes()) {
     throw std::invalid_argument(
         "DistributedPagerank: placement does not cover the graph");
+  }
+  if (options.threads > kMaxThreads) {
+    throw std::invalid_argument("DistributedPagerank: threads " +
+                                std::to_string(options.threads) +
+                                " exceeds the cap of " +
+                                std::to_string(kMaxThreads));
   }
   const NodeId n = g.num_nodes();
   ranks_.assign(n, options_.initial_rank);
@@ -55,12 +60,6 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   for (NodeId v = 0; v < n; ++v) dirty_[v] = v;  // first pass: everyone
   next_dirty_.reserve(n);
   peer_msgs_this_pass_.assign(placement.num_peers(), 0);
-  residual_mode_ = options_.schedule == Schedule::kResidual;
-  if (residual_mode_) {
-    residual_.assign(n, std::numeric_limits<double>::infinity());
-    last_sent_.assign(n, options_.initial_rank);
-    defer_age_.assign(n, 0);
-  }
 }
 
 void DistributedPagerank::attach_overlay(const ChordRing& ring,
@@ -91,9 +90,7 @@ void DistributedPagerank::attach_replicas(const ReplicaRegistry& replicas) {
 void DistributedPagerank::attach_fault_plan(FaultPlan& plan) {
   if (ran_) throw std::logic_error("attach_fault_plan after run");
   if (plan_ != nullptr) {
-    throw std::logic_error(
-        "attach_fault_plan: a fault plan (or inject_faults shim) is "
-        "already attached");
+    throw std::logic_error("attach_fault_plan: a fault plan is already attached");
   }
   plan_ = &plan;
 }
@@ -121,24 +118,6 @@ void DistributedPagerank::enable_mass_audit(double tolerance) {
   }
   audit_enabled_ = true;
   audit_tolerance_ = tolerance;
-}
-
-void DistributedPagerank::inject_faults(const FaultModel& faults) {
-  if (ran_) throw std::logic_error("inject_faults after run");
-  if (plan_ != nullptr) {
-    throw std::logic_error("inject_faults: a fault plan is already attached");
-  }
-  if (faults.drop_probability < 0.0 || faults.drop_probability >= 1.0 ||
-      faults.duplicate_probability < 0.0 ||
-      faults.duplicate_probability > 1.0) {
-    throw std::invalid_argument("inject_faults: probabilities out of range");
-  }
-  FaultPlanConfig config;
-  config.drop_probability = faults.drop_probability;
-  config.duplicate_probability = faults.duplicate_probability;
-  config.seed = faults.seed;
-  owned_plan_ = std::make_unique<FaultPlan>(config);
-  plan_ = owned_plan_.get();
 }
 
 void DistributedPagerank::attach_metrics(obs::MetricsRegistry& registry) {
@@ -270,7 +249,6 @@ bool DistributedPagerank::apply_update(EdgeId e, double value,
   }
   const EdgeId cell = graph_.out_to_in_edge(e);
   const NodeId v = graph_.out_target(e);
-  if (residual_mode_) residual_[v] += std::abs(value - contrib_[cell]);
   contrib_[cell] = value;
   if (now) {
     mark_dirty_now(v);
@@ -459,11 +437,6 @@ void DistributedPagerank::recover_peer(PeerId p,
         ++recovery_messages_;
       }
     }
-    // A rebuilt document must recompute promptly whatever its residual
-    // history says: its cells were just rewritten wholesale.
-    if (residual_mode_) {
-      residual_[v] = std::numeric_limits<double>::infinity();
-    }
     mark_dirty_now(v);
   }
 }
@@ -611,9 +584,6 @@ void DistributedPagerank::apply_membership(
         ++recovery_messages_;
       }
     }
-    if (residual_mode_) {
-      residual_[v] = std::numeric_limits<double>::infinity();
-    }
     mark_dirty_now(v);
   }
 
@@ -758,406 +728,134 @@ bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
   return false;
 }
 
-void DistributedPagerank::prepare_parallel_state() {
-  // The batched exchange applies updates outside the sequential emission
-  // order. That is invisible on clean and churn-only runs — every write
-  // lands in its own per-edge cell and every counter is a commutative
-  // sum — but fault plans, tracers, replicas, overlays, dynamic
+void DistributedPagerank::prepare_pass_state() {
+  // The fused exchange applies every update at its emission site with no
+  // per-send hooks. Fault plans, tracers, replicas, overlays, dynamic
   // membership and the audit all consume ordered state (RNG draws, cache
   // warms, trace event order, stale-owner counts), so those
-  // configurations keep the sequential sender-major exchange.
-  batched_exchange_ = plan_ == nullptr && tracer_ == nullptr &&
-                      replicas_ == nullptr && ring_ == nullptr &&
-                      membership_ == nullptr && !audit_enabled_;
+  // configurations take the ordered sender-major exchange.
+  ordered_exchange_ = plan_ != nullptr || tracer_ != nullptr ||
+                      replicas_ != nullptr || ring_ != nullptr ||
+                      membership_ != nullptr || audit_enabled_;
   const std::uint32_t threads = std::max<std::uint32_t>(1, options_.threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
+  // Flat scratch sized once here, so no pass ever grows an allocation.
   const PeerId num_peers = placement_.num_peers();
-  peer_dirty_.resize(num_peers);
-  peer_scratch_.resize(num_peers);
-  if (batched_exchange_) {
-    if (pool_ == nullptr && !residual_mode_) {
-      // Sequential fifo runs take the compute_sequential /
-      // exchange_sequential fast path: flat scratch sized once here, so
-      // no pass ever grows an allocation.
-      seq_fast_ = true;
-      const NodeId n = graph_.num_nodes();
-      seq_docs_.resize(n);
-      seq_acc_.resize(n);
-      seq_senders_.resize(n);
-      seq_count_.assign(num_peers, 0);
-      seq_seg_end_.assign(num_peers, 0);
-      seq_sender_pos_.reserve(static_cast<std::size_t>(num_peers) + 1);
-      dst_count32_.assign(num_peers, 0);
-      touched_dsts_.assign(static_cast<std::size_t>(num_peers) + 1, 0);
-      return;
-    }
-    dst_incoming_.resize(num_peers);
-    dst_marked_.resize(num_peers);
-    slot_scratch_.resize(pool_ != nullptr ? pool_->concurrency() : 1);
-    for (auto& ws : slot_scratch_) {
-      ws.bucket.resize(num_peers);
-      if (residual_mode_) ws.bucket_delta.resize(num_peers);
-    }
+  const NodeId n = graph_.num_nodes();
+  seq_docs_.resize(n);
+  seq_acc_.resize(n);
+  seq_count_.assign(num_peers, 0);
+  seq_cursor_.assign(num_peers, 0);
+  active_peers_.reserve(num_peers);
+  segments_.reserve(num_peers);
+  if (!ordered_exchange_) {
+    dst_count32_.assign(num_peers, 0);
+    touched_dsts_.assign(static_cast<std::size_t>(num_peers) + 1, 0);
   }
 }
 
 template <typename Fn>
 void DistributedPagerank::parallel_region(std::size_t shards, Fn&& fn) {
   if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < shards; ++i) fn(i, 0);
+    for (std::size_t i = 0; i < shards; ++i) fn(i);
     return;
   }
   pool_->run(static_cast<unsigned>(shards),
-             [&fn](unsigned shard, unsigned slot) { fn(shard, slot); });
+             [&fn](unsigned shard, unsigned) { fn(shard); });
 }
 
-void DistributedPagerank::bucket_dirty() {
-  for (const PeerId p : active_peers_) peer_dirty_[p].clear();
-  active_peers_.clear();
-  for (const NodeId v : dirty_) {
-    const PeerId p = placement_.peer_of(v);
-    if (peer_dirty_[p].empty()) active_peers_.push_back(p);
-    peer_dirty_[p].push_back(v);
-  }
-  std::sort(active_peers_.begin(), active_peers_.end());
-  // Determinism precondition for every per-peer merge below: results are
-  // folded in this order, so it must be strictly sorted (no duplicates).
-  DPRANK_ASSERT(std::adjacent_find(active_peers_.begin(),
-                                   active_peers_.end(),
-                                   std::greater_equal<PeerId>()) ==
-                    active_peers_.end(),
-                "pagerank",
-                "active peer list is not strictly sorted; the parallel "
-                "merge order would be scheduler-dependent");
-  for (const PeerId p : active_peers_) {
-    PeerScratch& s = peer_scratch_[p];
-    s.docs_recomputed = 0;
-    s.max_rel = 0.0;
-    s.deferred_calls = 0;
-    s.deferred_docs = 0;
-    s.senders.clear();
-    s.kept_dirty.clear();
-    s.targets.clear();
-    s.target_deltas.clear();
-    s.buckets.clear();
-    s.parked.clear();
-  }
-}
-
-void DistributedPagerank::compute_peer(PeerId p,
-                                       const std::vector<bool>& presence,
-                                       bool track_replica_values) {
-  if (!presence[p]) return;  // docs stay dirty; re-marked at the merge
-  PeerScratch& s = peer_scratch_[p];
-  std::vector<NodeId>& bucket = peer_dirty_[p];
-  const double d = options_.damping;
-  const double base = 1.0 - d;
-  // Residual schedule: order the bucket by accumulated |Δcontribution|
-  // so one recompute coalesces every update behind the largest pending
-  // mass, and decide whether this pass may defer the low-residual tail.
-  // No deferral once the iteration is within epsilon of converging — the
-  // endgame runs exhaustively, exactly like fifo.
-  const bool may_defer = residual_mode_ && prev_max_rel_ > options_.epsilon;
-  const double cutoff =
-      may_defer ? options_.residual_defer_ratio * prev_max_rel_ : 0.0;
-  if (residual_mode_) {
-    std::sort(bucket.begin(), bucket.end(), [&](NodeId a, NodeId b) {
-      const double ra = residual_[a];
-      const double rb = residual_[b];
-      return ra != rb ? ra > rb : a < b;
-    });
-  }
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    const NodeId v = bucket[i];
-    if (may_defer && i != 0 && defer_age_[v] < options_.residual_max_defer) {
-      // The damped residual bounds this document's possible rank change;
-      // relative to its current rank it is the analogue of the epsilon
-      // test. Every peer processes its top document (i == 0) and the age
-      // cap forces periodic progress, so deferral cannot starve anyone.
-      const double denom = ranks_[v] > 0 ? ranks_[v] : -ranks_[v];
-      const double relres =
-          denom > 0 ? d * residual_[v] / denom : d * residual_[v];
-      if (relres < cutoff) {
-        ++defer_age_[v];
-        ++s.deferred_docs;
-        s.kept_dirty.push_back(v);  // in_dirty_ stays set
-        continue;
-      }
-    }
-    in_dirty_[v] = 0;
-    double acc = 0.0;
-    const EdgeId cells_end = graph_.in_edge_end(v);
-    for (EdgeId c = graph_.in_edge_begin(v); c < cells_end; ++c) {
-      acc += contrib_[c];
-    }
-    const double newrank = base + d * acc;
-    const double rel = relative_change(ranks_[v], newrank);
-    ranks_[v] = newrank;
-    ++s.docs_recomputed;
-    s.max_rel = std::max(s.max_rel, rel);
-    if (track_replica_values) {
-      // A live replica mirrors the recomputation (§2.3: replicas
-      // receive the same updates) — the copy crash recovery restores.
-      for (const PeerId rp : replicas_->replicas_of(v)) {
-        if (presence[rp]) {
-          replica_value_[v] = newrank;
-          break;
-        }
-      }
-    }
-    if (!residual_mode_) {
-      if (rel > options_.epsilon && graph_.out_degree(v) != 0) {
-        s.senders.push_back(v);
-      }
-      continue;
-    }
-    residual_[v] = 0.0;
-    defer_age_[v] = 0;
-    if (graph_.out_degree(v) == 0) continue;
-    // Emission gate against the value the out-links actually hold (the
-    // last emission), not last pass's rank — a deferred document's
-    // coalesced change is judged in full.
-    const double rel_sent = relative_change(last_sent_[v], newrank);
-    if (rel_sent > eff_epsilon_) {
-      s.senders.push_back(v);
-      last_sent_[v] = newrank;
-    } else if (rel_sent > options_.epsilon) {
-      // Cleared epsilon but not this pass's adaptive threshold: hold the
-      // emission (stay dirty) instead of dropping it — it goes out once
-      // the schedule tightens.
-      in_dirty_[v] = 1;
-      s.kept_dirty.push_back(v);
-    }
-  }
-}
-
-void DistributedPagerank::exchange_batched(const std::vector<bool>& presence,
-                                           PassStats& stats,
-                                           obs::Histogram* batch_hist) {
-  // Emission, one shard per source peer: workers write only per-edge
-  // cells (contrib_ / pending_ / pending_value_ — each edge has a unique
-  // emitting source) and their own peer/slot scratch. Targets are
-  // grouped into one bucket per destination peer — §4.6.1's "collect
-  // together all the pagerank messages going towards these documents".
-  parallel_region(active_peers_.size(), [&](std::size_t i, unsigned slot) {
-    const PeerId p = active_peers_[i];
-    PeerScratch& s = peer_scratch_[p];
-    if (s.senders.empty()) return;
-    SlotScratch& ws = slot_scratch_[slot];
-    for (const NodeId u : s.senders) {
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
-           ++e) {
-        const NodeId v = graph_.out_target(e);
-        const PeerId pv = placement_.peer_of(v);
-        // Ledger write (validation runs only): per-edge cell, same
-        // disjointness as contrib_, so workers never collide.
-        if (auditor_ != nullptr) auditor_->on_emit(e, c);
-        if (presence[pv]) {
-          const EdgeId cell = graph_.out_to_in_edge(e);
-          auto& b = ws.bucket[pv];
-          if (b.empty()) ws.touched.push_back(pv);
-          b.push_back(v);
-          if (residual_mode_) {
-            // |Δcontribution| travels with the target; the destination
-            // shard folds it into residual_ (it owns v's slot).
-            ws.bucket_delta[pv].push_back(c > contrib_[cell]
-                                              ? c - contrib_[cell]
-                                              : contrib_[cell] - c);
-          }
-          contrib_[cell] = c;
-        } else {
-          // park(), minus the shared bookkeeping (merged below).
-          pending_value_[e] = c;
-          ++s.deferred_calls;
-          if (!pending_[e]) {
-            pending_[e] = 1;
-            s.parked.emplace_back(pv, e);
-          }
-        }
-      }
-    }
-    std::sort(ws.touched.begin(), ws.touched.end());
-    for (const PeerId dst : ws.touched) {
-      auto& b = ws.bucket[dst];
-      s.buckets.push_back(
-          {dst, s.targets.size(), s.targets.size() + b.size()});
-      s.targets.insert(s.targets.end(), b.begin(), b.end());
-      b.clear();
-      if (residual_mode_) {
-        auto& bd = ws.bucket_delta[dst];
-        s.target_deltas.insert(s.target_deltas.end(), bd.begin(), bd.end());
-        bd.clear();
-      }
-    }
-    ws.touched.clear();
-  });
-
-  // Merge, in sorted source-peer order: fold counters, bill traffic in
-  // bulk (same totals as the per-update calls), park deferred edges and
-  // index each bucket under its destination for the apply region.
-  std::uint64_t delivered_total = 0;
-  std::uint64_t local_total = 0;
-  for (const PeerId p : active_peers_) {
-    PeerScratch& s = peer_scratch_[p];
-    if (contracts::enabled()) {
-      // Determinism precondition: each shard's buckets must be strictly
-      // sorted by destination and tile the target list contiguously —
-      // the apply region indexes targets[begin, end) through them.
-      [[maybe_unused]] std::size_t off = 0;
-      [[maybe_unused]] PeerId prev_dst = 0;
-      [[maybe_unused]] bool first = true;
-      for (const PeerScratch::Bucket& b : s.buckets) {
-        DPRANK_ASSERT(first || b.dst > prev_dst, "pagerank",
-                      "exchange buckets are not strictly sorted by "
-                      "destination peer");
-        DPRANK_ASSERT(b.begin == off && b.end >= b.begin, "pagerank",
-                      "exchange bucket ranges do not tile the target list");
-        off = b.end;
-        prev_dst = b.dst;
-        first = false;
-      }
-      DPRANK_ASSERT(off == s.targets.size(), "pagerank",
-                    "exchange buckets do not cover every emitted target");
-    }
-    stats.messages_deferred += s.deferred_calls;
-    for (const auto& [dst, e] : s.parked) {
-      deferred_by_peer_[dst].emplace_back(e, p);
-      ++total_pending_;
-    }
-    std::uint64_t cross_msgs = 0;  // wire messages this peer sent
-    for (const PeerScratch::Bucket& b : s.buckets) {
-      const std::uint64_t k = b.end - b.begin;
-      if (b.dst == p) {
-        local_total += k;
-        stats.local_updates += k;
-      } else {
-        delivered_total += k;
-        if (options_.coalesce_wire) {
-          meter_.record_batch(k, options_.batch_payload_bytes,
-                              options_.batch_header_bytes);
-          ++cross_msgs;
-        } else {
-          cross_msgs += k;
-        }
-        if (batch_hist != nullptr) batch_hist->record(static_cast<double>(k));
-      }
-      if (dst_incoming_[b.dst].empty()) active_dsts_.push_back(b.dst);
-      dst_incoming_[b.dst].push_back({p, b.begin, b.end});
-    }
-    stats.messages_sent += cross_msgs;
-    stats.max_peer_messages = std::max(stats.max_peer_messages, cross_msgs);
-  }
-  if (!options_.coalesce_wire && delivered_total != 0) {
-    meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
-  }
-  if (local_total != 0) meter_.record_local_updates(local_total);
-  outbox_peak_ = std::max(outbox_peak_, total_pending_);
-
-  // Apply-side marking, one shard per destination peer: a destination
-  // owns its documents' dirty flags, so shards never collide; the merge
-  // appends each destination's newly-marked documents in sorted order.
-  std::sort(active_dsts_.begin(), active_dsts_.end());
-  parallel_region(active_dsts_.size(), [&](std::size_t i, unsigned) {
-    const PeerId dst = active_dsts_[i];
-    auto& marked = dst_marked_[dst];
-    marked.clear();
-    for (const DstSlice& slice : dst_incoming_[dst]) {
-      const auto& targets = peer_scratch_[slice.src].targets;
-      if (residual_mode_) {
-        // Fold the emitted |Δcontribution| into the destinations'
-        // residuals. Slices arrive in sorted source-peer order and each
-        // slice in emission order, so the floating-point accumulation
-        // order is fixed regardless of thread count.
-        const auto& deltas = peer_scratch_[slice.src].target_deltas;
-        for (std::size_t t = slice.begin; t < slice.end; ++t) {
-          residual_[targets[t]] += deltas[t];
-        }
-      }
-      for (std::size_t t = slice.begin; t < slice.end; ++t) {
-        const NodeId v = targets[t];
-        if (!in_dirty_[v]) {
-          in_dirty_[v] = 1;
-          marked.push_back(v);
-        }
-      }
-    }
-  });
-  for (const PeerId dst : active_dsts_) {
-    next_dirty_.insert(next_dirty_.end(), dst_marked_[dst].begin(),
-                       dst_marked_[dst].end());
-    dst_incoming_[dst].clear();
-  }
-  active_dsts_.clear();
-}
-
-void DistributedPagerank::compute_sequential(
-    const std::vector<bool>& presence, bool all_present, PassStats& stats) {
+void DistributedPagerank::recompute_dirty(const std::vector<bool>& presence,
+                                          bool all_present,
+                                          PassStats& stats) {
   // Group dirty_ peer-major with a counting sort over flat arrays: count
   // per peer, carve segments in ascending peer order, stable scatter.
-  // Segment order and intra-segment order match bucket_dirty() exactly,
-  // so the recompute below visits documents in compute_peer's order.
   active_peers_.clear();
   for (const NodeId v : dirty_) {
     const PeerId p = placement_.peer_of(v);
     if (seq_count_[p]++ == 0) active_peers_.push_back(p);
   }
   std::sort(active_peers_.begin(), active_peers_.end());
+  segments_.clear();
   std::uint64_t off = 0;
   for (const PeerId p : active_peers_) {
-    seq_seg_end_[p] = off;  // scatter cursor, starts at the segment base
+    seq_cursor_[p] = off;
+    segments_.push_back({off, off + seq_count_[p], off, 0.0});
     off += seq_count_[p];
+    seq_count_[p] = 0;  // ready for the next pass
   }
   for (const NodeId v : dirty_) {
-    seq_docs_[seq_seg_end_[placement_.peer_of(v)]++] = v;
+    seq_docs_[seq_cursor_[placement_.peer_of(v)]++] = v;
   }
-  // seq_seg_end_[p] now sits one past p's segment.
 
-  // Recompute, fold-then-epilogue per segment. The scalar fold kernel
-  // (common/simd.hpp) writes each document's cell sum, folded strictly
-  // left to right — the per-document FP order the golden digests pin —
-  // into seq_acc_. The epilogue then walks the segment in bucket order:
-  // rank writes, max fold and sender selection. The AVX2 lane-refill
-  // kernel computes the same bits but measured slower inside the engine
-  // at every size (DESIGN.md §14.4), so the engine does not dispatch on
-  // the SIMD level.
+  // Recompute, fold-then-epilogue per segment, one shard per present
+  // peer. The scalar fold kernel (common/simd.hpp) writes each
+  // document's cell sum, folded strictly left to right — the
+  // per-document FP order the golden digests pin — into seq_acc_. The
+  // epilogue then walks the segment in order: rank writes, max fold,
+  // the replica mirror and sender selection. Senders are compacted in
+  // place to the front of the segment: the write cursor never passes
+  // the read cursor. A shard writes only its own documents' entries and
+  // its own slice of seq_docs_ / seq_acc_ and its own Segment, so shards
+  // never collide. The AVX2 lane-refill kernel computes the same bits
+  // but measured slower inside the engine at every size (DESIGN.md
+  // §14.4), so the engine does not dispatch on the SIMD level.
   const double d = options_.damping;
   const double base = 1.0 - d;
   const double eps = options_.epsilon;
   const double* cells = contrib_.data();
   const EdgeId* offsets = graph_.in_offsets_data();
   const float* inv_deg = graph_.inv_out_degrees().data();
-  double max_rel = 0.0;
-  std::uint64_t recomputed = 0;
-  std::uint64_t sender_total = 0;
-  seq_sender_pos_.clear();
-  for (const PeerId p : active_peers_) {
-    seq_sender_pos_.push_back(sender_total);
-    const std::uint64_t seg_end = seq_seg_end_[p];
-    const std::uint64_t seg_begin = seg_end - seq_count_[p];
-    seq_count_[p] = 0;  // ready for the next pass
-    if (!all_present && !presence[p]) {
-      // Docs stay dirty (flags stay set); requeued for the next pass.
-      next_dirty_.insert(next_dirty_.end(), seq_docs_.data() + seg_begin,
-                         seq_docs_.data() + seg_end);
-      continue;
-    }
-    simd::fold_cells_scalar(cells, offsets, seq_docs_.data() + seg_begin,
-                            seg_end - seg_begin, seq_acc_.data() + seg_begin);
-    for (std::uint64_t i = seg_begin; i < seg_end; ++i) {
-      const NodeId v = seq_docs_[i];
-      in_dirty_[v] = 0;
-      const double newrank = base + d * seq_acc_[i];
-      const double rel = relative_change(ranks_[v], newrank);
-      ranks_[v] = newrank;
+  NodeId* docs = seq_docs_.data();
+  double* acc = seq_acc_.data();
+  double* ranks = ranks_.data();
+  std::uint8_t* in_dirty = in_dirty_.data();
+  const bool track_replica_values = !replica_value_.empty();
+  parallel_region(segments_.size(), [=, this, &presence](std::size_t i) {
+    Segment& seg = segments_[i];
+    if (!all_present && !presence[active_peers_[i]]) return;
+    simd::fold_cells_scalar(cells, offsets, docs + seg.begin,
+                            seg.end - seg.begin, acc + seg.begin);
+    double max_rel = 0.0;
+    std::uint64_t sender_end = seg.begin;
+    for (std::uint64_t j = seg.begin; j < seg.end; ++j) {
+      const NodeId v = docs[j];
+      in_dirty[v] = 0;
+      const double newrank = base + d * acc[j];
+      const double rel = relative_change(ranks[v], newrank);
+      ranks[v] = newrank;
       if (rel > max_rel) max_rel = rel;
+      if (track_replica_values) {
+        // A live replica mirrors the recomputation (§2.3: replicas
+        // receive the same updates) — the copy crash recovery restores.
+        for (const PeerId rp : replicas_->replicas_of(v)) {
+          if (presence[rp]) {
+            replica_value_[v] = newrank;
+            break;
+          }
+        }
+      }
       // inv_out_degree(v) != 0 is exactly out_degree(v) != 0 (the
       // stored inverse is 0 only for degree 0), one 4-byte load.
-      if (rel > eps && inv_deg[v] != 0.0f) seq_senders_[sender_total++] = v;
+      if (rel > eps && inv_deg[v] != 0.0f) docs[sender_end++] = v;
     }
-    recomputed += seg_end - seg_begin;
+    seg.max_rel = max_rel;
+    seg.sender_end = sender_end;
+  });
+
+  // Fold the segments in peer order; absent peers' documents stay dirty
+  // (flags stay set) and are requeued for the next pass.
+  double max_rel = 0.0;
+  std::uint64_t recomputed = 0;
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const Segment& seg = segments_[i];
+    if (!all_present && !presence[active_peers_[i]]) {
+      next_dirty_.insert(next_dirty_.end(), seq_docs_.data() + seg.begin,
+                         seq_docs_.data() + seg.end);
+      continue;
+    }
+    if (seg.max_rel > max_rel) max_rel = seg.max_rel;
+    recomputed += seg.end - seg.begin;
   }
-  seq_sender_pos_.push_back(sender_total);
   stats.docs_recomputed = recomputed;
   stats.max_rel_change = max_rel;
 }
@@ -1166,10 +864,9 @@ template <bool kAllPresent>
 void DistributedPagerank::exchange_sequential(
     const std::vector<bool>& presence, PassStats& stats,
     obs::Histogram* batch_hist) {
-  // Mirror of exchange_batched for the sequential fifo case: the same
-  // emission order (source peers ascending, senders in recompute order)
-  // and the same counters, but each update is one inline cell write plus
-  // a plain per-destination tally instead of a materialized bucket.
+  // Emission order: source peers ascending, senders in recompute order.
+  // Each update is one inline cell write plus a plain per-destination
+  // tally.
   //
   // Each source peer bills its destinations in first-touch order, not
   // sorted. Every consumer of the tally is a commutative sum of
@@ -1194,12 +891,12 @@ void DistributedPagerank::exchange_sequential(
   std::uint32_t* const dst_count = dst_count32_.data();
   for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
     const PeerId p = active_peers_[ai];
-    const std::uint64_t s_begin = seq_sender_pos_[ai];
-    const std::uint64_t s_end = seq_sender_pos_[ai + 1];
+    const std::uint64_t s_begin = segments_[ai].begin;
+    const std::uint64_t s_end = segments_[ai].sender_end;
     if (s_begin == s_end) continue;
     std::size_t num_touched = 0;
     for (std::uint64_t si = s_begin; si < s_end; ++si) {
-      const NodeId u = seq_senders_[si];
+      const NodeId u = seq_docs_[si];
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
       const EdgeId out_begin = graph_.out_edge_begin(u);
       const EdgeId out_end = graph_.out_edge_end(u);
@@ -1327,10 +1024,9 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
   return bytes(ranks_) + bytes(contrib_) + bytes(pending_value_) +
          bytes(pending_) + bytes(pending_seq_) + bytes(in_dirty_) +
          bytes(dirty_) + bytes(next_dirty_) + bytes(seq_docs_) +
-         bytes(seq_acc_) + bytes(seq_senders_) + bytes(seq_count_) + bytes(seq_seg_end_) +
-         bytes(seq_sender_pos_) + bytes(dst_count32_) +
-         bytes(touched_dsts_) + bytes(residual_) + bytes(last_sent_) +
-         bytes(defer_age_);
+         bytes(seq_acc_) + bytes(seq_count_) +
+         bytes(seq_cursor_) + bytes(segments_) + bytes(dst_count32_) +
+         bytes(touched_dsts_);
 }
 
 void DistributedPagerank::validate_state() const {
@@ -1350,8 +1046,8 @@ void DistributedPagerank::validate_state() const {
   // Dirty-set integrity: the recompute queues and the membership flags
   // must agree exactly — a document queued twice would be recomputed
   // twice in one pass, and a flagged-but-unqueued document would never
-  // be recomputed again. This is the precondition bucket_dirty() relies
-  // on for its deterministic peer sharding.
+  // be recomputed again. This is the precondition recompute_dirty()
+  // relies on for its disjoint peer segments.
   std::vector<std::uint8_t> queued(n, 0);
   const auto check_queue = [&](const std::vector<NodeId>& q) {
     for (const NodeId v : q) {
@@ -1413,28 +1109,6 @@ void DistributedPagerank::validate_state() const {
   DPRANK_INVARIANT(outbox_peak_ >= total_pending_, kSub,
                    "outbox peak understates the live pending count");
 
-  // Residual-scheduler state: arrays cover the documents, residual mass
-  // is non-negative, the defer age never escapes its cap, and any
-  // document holding undigested residual is queued for a recompute (a
-  // positive residual with no dirty flag would be an update the
-  // scheduler lost).
-  if (residual_mode_) {
-    DPRANK_INVARIANT(residual_.size() == n && last_sent_.size() == n &&
-                         defer_age_.size() == n,
-                     kSub,
-                     "residual-scheduler arrays do not cover the documents");
-    for (NodeId v = 0; v < n; ++v) {
-      DPRANK_INVARIANT(residual_[v] >= 0.0, kSub,
-                       "negative residual at document " + std::to_string(v));
-      DPRANK_INVARIANT(defer_age_[v] <= options_.residual_max_defer, kSub,
-                       "defer age exceeds residual_max_defer at document " +
-                           std::to_string(v));
-      DPRANK_INVARIANT(!(residual_[v] > 0.0) || in_dirty_[v] != 0, kSub,
-                       "document " + std::to_string(v) +
-                           " holds residual mass but is not marked dirty");
-    }
-  }
-
   // Delivery-delay buffer accounting.
   std::uint64_t delayed_msgs = 0;
   for (const auto& [due, msgs] : delayed_) delayed_msgs += msgs.size();
@@ -1473,8 +1147,11 @@ void DistributedPagerank::exchange_ordered(const std::vector<bool>& presence,
   // Sequential sender-major exchange: fault fates, overlay cache warms
   // and trace events must observe emissions in one canonical order —
   // peers ascending, each peer's senders in recompute order.
-  for (const PeerId pu : active_peers_) {
-    for (const NodeId u : peer_scratch_[pu].senders) {
+  for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
+    const PeerId pu = active_peers_[ai];
+    const Segment& seg = segments_[ai];
+    for (std::uint64_t si = seg.begin; si < seg.sender_end; ++si) {
+      const NodeId u = seq_docs_[si];
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
       for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
            ++e) {
@@ -1482,9 +1159,7 @@ void DistributedPagerank::exchange_ordered(const std::vector<bool>& presence,
         const PeerId pv = placement_.peer_of(v);
         bool replica_eligible = true;
         if (pv == pu) {
-          const EdgeId cell = graph_.out_to_in_edge(e);
-          if (residual_mode_) residual_[v] += std::abs(c - contrib_[cell]);
-          contrib_[cell] = c;
+          contrib_[graph_.out_to_in_edge(e)] = c;
           if (auditor_ != nullptr) auditor_->on_emit(e, c);
           mark_dirty(v);
           meter_.record_local_update();
@@ -1570,8 +1245,9 @@ void DistributedPagerank::exchange_ordered(const std::vector<bool>& presence,
   }
 
   stats.max_peer_messages = 0;
-  for (const PeerId pu : active_peers_) {
-    if (peer_scratch_[pu].senders.empty()) continue;
+  for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
+    if (segments_[ai].sender_end == segments_[ai].begin) continue;
+    const PeerId pu = active_peers_[ai];
     stats.max_peer_messages =
         std::max(stats.max_peer_messages, peer_msgs_this_pass_[pu]);
     peer_msgs_this_pass_[pu] = 0;  // reset only touched entries
@@ -1599,16 +1275,15 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
         "dynamic membership, schedule crashes as membership events");
   }
   prepare_fault_state();
-  prepare_parallel_state();
+  prepare_pass_state();
 
   const PeerId num_peers = placement_.num_peers();
   const std::vector<bool> all_present(num_peers, true);
-  const bool track_replica_values = !replica_value_.empty();
   obs::Histogram* pass_wall =
       metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
                           : nullptr;
   obs::Histogram* batch_hist =
-      metrics_ != nullptr && batched_exchange_
+      metrics_ != nullptr && !ordered_exchange_
           ? &metrics_->histogram("pagerank.batch_size")
           : nullptr;
 
@@ -1697,62 +1372,21 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
     if (total_pending_ != 0) deliver_deferred(*presence, stats);
     lap(kDeliver);
 
-    // Phase 1: recompute documents that received updates, sharded by
+    // Phase 1: recompute documents that received updates, grouped by
     // owning peer (documents on absent peers stay dirty until their peer
-    // returns). Workers touch only state their shard's peer owns; the
-    // merge folds per-peer results in sorted peer order, so the outcome
-    // is identical for every thread count.
-    if (residual_mode_) {
-      // This pass's emission threshold: epsilon, or — under the adaptive
-      // schedule — loosened while last pass's max relative change was
-      // still large, tightening back to epsilon as the run settles.
-      eff_epsilon_ =
-          options_.adaptive_epsilon
-              ? std::max(options_.epsilon, std::min(0.05, prev_max_rel_ / 8.0))
-              : options_.epsilon;
-    }
-    if (seq_fast_) {
-      // Single-threaded fifo: grouping and recompute over flat scratch.
-      compute_sequential(*presence, churn == nullptr, stats);
-    } else {
-      bucket_dirty();
-      parallel_region(active_peers_.size(), [&](std::size_t i, unsigned) {
-        compute_peer(active_peers_[i], *presence, track_replica_values);
-      });
-      for (const PeerId p : active_peers_) {
-        if (!(*presence)[p]) {
-          // Re-marked for the next pass (in_dirty_ stayed set).
-          next_dirty_.insert(next_dirty_.end(), peer_dirty_[p].begin(),
-                             peer_dirty_[p].end());
-          continue;
-        }
-        const PeerScratch& s = peer_scratch_[p];
-        stats.docs_recomputed += s.docs_recomputed;
-        stats.max_rel_change = std::max(stats.max_rel_change, s.max_rel);
-        stats.docs_deferred += s.deferred_docs;
-        if (!s.kept_dirty.empty()) {
-          // Deferred tail + held emissions: still flagged dirty, queued
-          // for the next pass in sorted peer order.
-          next_dirty_.insert(next_dirty_.end(), s.kept_dirty.begin(),
-                             s.kept_dirty.end());
-        }
-      }
-    }
-    prev_max_rel_ = stats.max_rel_change;
+    // returns).
+    const bool everyone = presence == &all_present;
+    recompute_dirty(*presence, everyone, stats);
     lap(kCompute);
 
     // Phase 2: senders emit their new contribution on every out-link;
     // visible next pass (or parked in the outbox for absent peers).
-    if (seq_fast_) {
-      if (churn == nullptr) {
-        exchange_sequential<true>(*presence, stats, batch_hist);
-      } else {
-        exchange_sequential<false>(*presence, stats, batch_hist);
-      }
-    } else if (batched_exchange_) {
-      exchange_batched(*presence, stats, batch_hist);
-    } else {
+    if (ordered_exchange_) {
       exchange_ordered(*presence, stats, pass);
+    } else if (everyone) {
+      exchange_sequential<true>(*presence, stats, batch_hist);
+    } else {
+      exchange_sequential<false>(*presence, stats, batch_hist);
     }
     lap(kExchange);
 
@@ -1870,19 +1504,6 @@ void DistributedPagerank::flush_metrics(const DistributedRunResult& result) {
     sent.append(x, static_cast<double>(p.messages_sent));
     pass_msgs.record(static_cast<double>(p.messages_sent));
     if (p.crashes != 0 || p.recovered_docs != 0) any_fault_event = true;
-  }
-  if (residual_mode_) {
-    // Scheduler telemetry: how much recompute work the residual order
-    // pushed to later passes (always absent under Schedule::kFifo, so
-    // fifo exports are unchanged byte for byte).
-    std::uint64_t total_deferred = 0;
-    obs::Series& deferred = reg.series("pagerank.deferred");
-    for (const PassStats& p : history_) {
-      total_deferred += p.docs_deferred;
-      deferred.append(static_cast<double>(p.pass),
-                      static_cast<double>(p.docs_deferred));
-    }
-    reg.counter("pagerank.docs_deferred").add(total_deferred);
   }
   if (membership_ != nullptr) {
     reg.counter("membership.events").add(membership_->events_applied());

@@ -19,17 +19,16 @@
 //    received instantaneously and all peers start their next iteration
 //    concurrently").
 //  * Execution model: each pass is a compute phase (recompute dirty
-//    documents, sharded by owning peer) followed by an exchange phase.
-//    With PagerankOptions::threads > 1 both phases run on a reusable
-//    worker pool (common/thread_pool.hpp). On clean and churn-only
-//    configurations the exchange coalesces each source peer's emissions
-//    into one batch per destination peer (§4.6.1's "collect together all
-//    the pagerank messages") and applies batches sharded by destination;
-//    configurations with a fault plan, tracer, replicas, overlay or mass
-//    audit keep the sequential sender-major exchange (those paths consume
-//    ordered RNG/cache/trace state). Every per-shard result is keyed by
-//    peer and merged in peer order, so ranks, pass history, residual
-//    series and traffic tables are bit-identical for every thread count.
+//    documents, grouped by owning peer) followed by an exchange phase.
+//    With PagerankOptions::threads > 1 the compute phase folds the peer
+//    segments on a reusable worker pool (common/thread_pool.hpp); each
+//    segment writes only its own documents' state and per-segment
+//    results are folded in peer order. The exchange always runs on the
+//    calling thread: the fused exchange on clean and churn-only
+//    configurations, and the ordered sender-major exchange when a fault
+//    plan, tracer, replicas, overlay, membership or mass audit is
+//    attached (those consume ordered RNG/cache/trace state). Ranks, pass
+//    history and traffic tables are bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
 //    (Fig. 1 step b); cross-peer updates are counted in the traffic
 //    meter.
@@ -88,18 +87,6 @@
 
 namespace dprank {
 
-/// DEPRECATED legacy fault vocabulary: UDP-style drop/duplication only.
-/// Superseded by FaultPlan (fault/fault_plan.hpp), which composes drop,
-/// duplication, reordering, delay, crashes and partitions under one seed;
-/// inject_faults() remains as a thin compatibility shim that builds an
-/// equivalent FaultPlan (bit-identical drop/duplicate history for the
-/// same seed). New code should use attach_fault_plan().
-struct FaultModel {
-  double drop_probability = 0.0;       // message vanishes in transit
-  double duplicate_probability = 0.0;  // message delivered twice
-  std::uint64_t seed = 42;
-};
-
 class DistributedPagerank : public PagerankEngineInterface {
  public:
   /// The placement must cover exactly g.num_nodes() documents. The engine
@@ -154,12 +141,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// re-injects exactly the leaked contributions and keeps iterating.
   /// Call before run().
   void enable_mass_audit(double tolerance = 1e-9) override;
-
-  /// DEPRECATED: legacy drop/duplicate injection. Compatibility shim that
-  /// attaches an internally-owned FaultPlan with the same probabilities
-  /// and seed (replays the identical fault history as the original
-  /// implementation). Use attach_fault_plan() for the full taxonomy.
-  void inject_faults(const FaultModel& faults);
 
   /// Publish run telemetry into `registry` (obs/metrics.hpp) when run()
   /// finishes: the traffic ledger under net.*, run totals under
@@ -395,7 +376,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::uint64_t outbox_dropped_dead_ = 0;
 
   FaultPlan* plan_ = nullptr;
-  std::unique_ptr<FaultPlan> owned_plan_;  // inject_faults() shim
   std::unique_ptr<ReliableChannel> channel_;
   std::unique_ptr<MassAuditor> auditor_;
   bool audit_enabled_ = false;
@@ -464,86 +444,28 @@ class DistributedPagerank : public PagerankEngineInterface {
 
   std::vector<std::uint64_t> peer_msgs_this_pass_;
 
-  // ---- pass-parallel execution (see the header comment) ----
-  // Per-source-peer shard results. Everything is keyed by peer and merged
-  // in sorted-peer order on the coordinating thread, never by worker
-  // slot, so output is independent of the scheduler.
-  struct PeerScratch {
-    std::uint64_t docs_recomputed = 0;
-    double max_rel = 0.0;
-    std::uint64_t deferred_calls = 0;    // park() equivalents this pass
-    std::uint64_t deferred_docs = 0;     // residual schedule: tail pushed
-    std::vector<NodeId> senders;         // epsilon-exceeding, dirty order
-    // Residual schedule: documents this peer kept dirty instead of
-    // processing — the deferred low-residual tail, plus documents whose
-    // change cleared epsilon but not the adaptive threshold.
-    std::vector<NodeId> kept_dirty;
-    // Batched exchange: emission targets grouped per destination peer.
-    // buckets[i] covers targets[begin, end) for destination dst (sorted
-    // by dst; the dst == source bucket holds the Fig. 1b local updates).
-    struct Bucket {
-      PeerId dst = 0;
-      std::size_t begin = 0;
-      std::size_t end = 0;
-    };
-    std::vector<NodeId> targets;
-    // Residual schedule: |Δcontribution| per entry of targets, folded
-    // into residual_ by the destination shard (deterministic order).
-    // Residual-mode only; residual runs never take the fused gather
-    // path. dprank-lint: allow(unaligned-hot-buffer)
-    std::vector<double> target_deltas;
-    std::vector<Bucket> buckets;
-    std::vector<std::pair<PeerId, EdgeId>> parked;  // newly parked edges
-  };
-  // Per-participant workspace for bucketing emissions by destination
-  // (indexed by pool slot, reused across passes).
-  struct SlotScratch {
-    std::vector<std::vector<NodeId>> bucket;  // per destination peer
-    std::vector<std::vector<double>> bucket_delta;  // residual mode only
-    std::vector<PeerId> touched;
-  };
-  struct DstSlice {  // one source peer's targets aimed at a destination
-    PeerId src = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  void prepare_parallel_state();
-  /// Bucket dirty_ by owning peer into peer_dirty_ / active_peers_
-  /// (sorted) and reset the active peers' scratch.
-  void bucket_dirty();
+  // ---- pass execution (see the header comment) ----
+  void prepare_pass_state();
   /// Invoke fn(shard) for every shard in [0, shards) — on the pool when
   /// one exists, as a plain inlined loop otherwise (the template keeps
-  /// the sequential path free of std::function dispatch). fn also
-  /// receives the participant slot for SlotScratch indexing.
+  /// the sequential path free of std::function dispatch).
   template <typename Fn>
   void parallel_region(std::size_t shards, Fn&& fn);
-  /// Phase 1 for one peer's dirty bucket: recompute, collect senders.
-  /// Under Schedule::kResidual the bucket is first ordered by accumulated
-  /// residual (descending) and its low-residual tail may be deferred into
-  /// kept_dirty instead of processed.
-  void compute_peer(PeerId p, const std::vector<bool>& presence,
-                    bool track_replica_values);
-  /// Batched fast-path exchange (clean/churn configs only): emit per
-  /// source peer into per-destination buckets, bill coalesced or
-  /// per-update traffic, apply and mark sharded by destination peer.
-  void exchange_batched(const std::vector<bool>& presence, PassStats& stats,
-                        obs::Histogram* batch_hist);
-  /// Single-threaded fifo fast path, compute half: replaces
-  /// bucket_dirty + compute_peer + merge. The dirty set is grouped
-  /// peer-major into flat preallocated arrays (counting sort — no
-  /// per-peer vectors, no pass-0 allocation storm) and each segment is
-  /// folded by the scalar kernel (common/simd.hpp). Ranks, counters and
-  /// dirty-set membership are bit-identical to the sharded path — the
-  /// golden-digest tests pin this; only the order of next_dirty_
-  /// differs, which no observable state depends on.
-  void compute_sequential(const std::vector<bool>& presence,
-                          bool all_present, PassStats& stats);
-  /// Exchange half of the fast path: delivery is one cell write at the
-  /// emission site plus a per-destination tally (at 500 peers the median
-  /// batch is one update, so materialized buckets cost more than the
-  /// updates). Each source peer's destinations are billed in first-touch
-  /// order, unsorted: every consumer of the tally is a commutative sum.
+  /// Compute phase: group dirty_ peer-major into flat preallocated
+  /// arrays (counting sort: peers ascending, each peer's documents in
+  /// dirty_ order) and recompute each present peer's segment with the
+  /// scalar fold kernel (common/simd.hpp), one shard per segment.
+  /// Absent peers' documents stay dirty and are requeued in ascending
+  /// peer order. Each present segment's senders are compacted to its
+  /// front, in recompute order.
+  void recompute_dirty(const std::vector<bool>& presence, bool all_present,
+                       PassStats& stats);
+  /// Fused exchange (no fault plan, tracer, replicas, overlay,
+  /// membership or audit): delivery is one cell write at the emission
+  /// site plus a per-destination tally (at 500 peers the median batch is
+  /// one update, so materialized buckets cost more than the updates).
+  /// Each source peer's destinations are billed in first-touch order,
+  /// unsorted: every consumer of the tally is a commutative sum.
   /// kAllPresent elides the per-edge presence test on churn-free runs.
   template <bool kAllPresent>
   void exchange_sequential(const std::vector<bool>& presence,
@@ -555,25 +477,24 @@ class DistributedPagerank : public PagerankEngineInterface {
   void exchange_ordered(const std::vector<bool>& presence, PassStats& stats,
                         std::uint64_t pass);
 
-  std::unique_ptr<ThreadPool> pool_;   // only when options_.threads > 1
-  bool batched_exchange_ = false;
-  std::vector<std::vector<NodeId>> peer_dirty_;
-  std::vector<PeerId> active_peers_;   // peers owning dirty docs, sorted
-  std::vector<PeerScratch> peer_scratch_;
-  std::vector<SlotScratch> slot_scratch_;
-  std::vector<std::vector<DstSlice>> dst_incoming_;
-  std::vector<std::vector<NodeId>> dst_marked_;
-  std::vector<PeerId> active_dsts_;    // destinations this pass, sorted
-  // ---- single-threaded fifo fast-path scratch ----
-  bool seq_fast_ = false;
-  AlignedVec<NodeId> seq_docs_;     // dirty docs, grouped peer-major
+  std::unique_ptr<ThreadPool> pool_;  // only when options_.threads > 1
+  bool ordered_exchange_ = false;     // a hook needs exchange_ordered
+  std::vector<PeerId> active_peers_;  // peers owning dirty docs, sorted
+  // Per active peer, in active_peers_ order: its documents occupy
+  // seq_docs_[begin, end) until the recompute, which compacts its
+  // senders into seq_docs_[begin, sender_end). Written by the segment's
+  // own shard, folded in order.
+  struct Segment {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::uint64_t sender_end = 0;
+    double max_rel = 0.0;
+  };
+  std::vector<Segment> segments_;
+  AlignedVec<NodeId> seq_docs_;     // dirty docs, then senders, peer-major
   AlignedVec<double> seq_acc_;      // per-doc cell sums from the fold
-  AlignedVec<NodeId> seq_senders_;  // epsilon-exceeding docs, peer-major
   std::vector<std::uint32_t> seq_count_;    // per peer: docs this pass
-  std::vector<std::uint64_t> seq_seg_end_;  // per peer: scatter cursor,
-                                            // then one past the segment
-  // Per active peer: its sender segment [pos[i], pos[i+1]) in seq_senders_.
-  std::vector<std::uint64_t> seq_sender_pos_;
+  std::vector<std::uint64_t> seq_cursor_;   // per peer: scatter cursor
   // exchange_sequential scratch: per-destination update counts, reset
   // through touched_dsts_ after each source peer instead of cleared.
   // touched_dsts_ holds num_peers + 1 entries: the branch-free tally
@@ -581,23 +502,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   // touched all num_peers peers its next store lands one past them.
   std::vector<std::uint32_t> dst_count32_;
   std::vector<PeerId> touched_dsts_;
-
-  // ---- residual scheduler state (Schedule::kResidual only) ----
-  bool residual_mode_ = false;
-  double eff_epsilon_ = 0.0;   // this pass's emission threshold
-  double prev_max_rel_ = 0.0;  // last pass's max relative change
-  // Accumulated |Δcontribution| since the document's last recompute;
-  // +inf until first recomputed, so pass 0 processes everything.
-  // Residual scheduler state; residual runs never take the fused
-  // gather path. dprank-lint: allow(unaligned-hot-buffer)
-  std::vector<double> residual_;
-  // Rank value behind the document's last emission: the emission gate
-  // compares against what the out-links actually hold, not last pass's
-  // rank, so coalesced (deferred) updates are never silently dropped.
-  // Residual-mode emission gate, off the fused gather path.
-  // dprank-lint: allow(unaligned-hot-buffer)
-  std::vector<double> last_sent_;
-  std::vector<std::uint8_t> defer_age_;  // consecutive deferrals
 
   TrafficMeter meter_;
   std::vector<PassStats> history_;

@@ -49,8 +49,9 @@ struct PassStats {
   std::uint64_t recovered_docs = 0;     // documents rebuilt this pass
   std::uint64_t retransmissions = 0;    // acked-delivery retries this pass
   std::uint64_t repair_messages = 0;    // mass-audit re-injections
-  /// Dirty documents whose recompute the residual scheduler pushed to a
-  /// later pass (always zero under Schedule::kFifo).
+  /// Dirty documents whose recompute the gossip engine's randomized
+  /// selection pushed to a later pass (always zero for
+  /// DistributedPagerank, which recomputes every dirty document).
   std::uint64_t docs_deferred = 0;
   // Dynamic-membership extensions (all zero without attach_membership).
   /// Documents whose ownership moved this pass (join pulls, leave pushes

@@ -15,23 +15,6 @@
 
 namespace dprank {
 
-/// Order in which DistributedPagerank works through its dirty set.
-enum class Schedule : std::uint8_t {
-  /// Fig. 1 as written: every dirty document is recomputed each pass, in
-  /// the order it was marked. The default — and the bit-compatibility
-  /// baseline: ranks, pass history and traffic are unchanged from engines
-  /// that predate the scheduler.
-  kFifo = 0,
-  /// Residual-prioritized (after D-Iteration and Das Sarma et al.): each
-  /// dirty document carries the |Δcontribution| mass accumulated since
-  /// its last recompute; every peer works highest-residual-first and may
-  /// defer the low-residual tail of its bucket to a later pass, so one
-  /// recompute (and one emission fan-out) coalesces several incoming
-  /// updates. Converges to the same epsilon with fewer update messages;
-  /// rank values differ from kFifo only within the epsilon tolerance.
-  kResidual = 1,
-};
-
 struct PagerankOptions {
   /// Damping factor d of Eq. 1. Google's standard 0.85. The Figure 2
   /// illustration corresponds to d = 1 (increments 1/3 and 1/6 with no
@@ -50,49 +33,28 @@ struct PagerankOptions {
 
   /// Pass-parallel worker count for DistributedPagerank (the §4.2 "all
   /// peers compute concurrently" methodology executed for real): the
-  /// per-pass recompute is sharded by owning peer and, on clean/churn
-  /// configurations, the update exchange is applied per destination
-  /// peer from coalesced per-(source, destination) batches. Results are
+  /// per-pass recompute folds each owning peer's segment on a worker
+  /// pool; the exchange stays on the calling thread. Results are
   /// bit-identical for every thread count — threads change wall time
-  /// only. 1 = fully sequential (no pool).
+  /// only. 1 = fully sequential (no pool); at most kMaxThreads
+  /// (common/env.hpp).
   std::uint32_t threads = 1;
 
-  /// Opt-in §4.6.1 coalesced-transfer billing for the batched exchange:
+  /// Opt-in §4.6.1 coalesced-transfer billing for the fused exchange:
   /// the k updates a source peer sends one destination in a pass travel
   /// as ONE wire message of batch_header_bytes + k * batch_payload_bytes
   /// (TrafficMeter::record_batch), instead of k separate 24-byte
   /// messages. Changes the traffic model, not the ranks: convergence and
   /// pass history stay identical; traffic().messages() becomes the batch
   /// count with the per-update count in traffic().batched_updates().
-  /// Only the batched exchange coalesces — fault/overlay/replica runs
-  /// and outbox drains always bill per update.
+  /// Only the fused exchange coalesces — fault/overlay/replica runs
+  /// (the ordered exchange) and outbox drains always bill per update.
   bool coalesce_wire = false;
 
   /// Wire framing for coalesce_wire (§4.6.1: 16-byte GUID + 8-byte rank
   /// per update behind one transport header).
   std::uint32_t batch_header_bytes = 16;
   std::uint32_t batch_payload_bytes = 24;
-
-  /// Dirty-set processing order; see Schedule. CLI: --schedule.
-  Schedule schedule = Schedule::kFifo;
-
-  /// kResidual sub-flag: start each pass with a loosened emission
-  /// threshold that tightens toward epsilon as the global residual falls
-  /// (documents whose change clears epsilon but not the loosened
-  /// threshold stay dirty rather than emitting, so no update is lost —
-  /// it is sent once the schedule tightens). Cuts early-phase message
-  /// storms; final quality is still governed by epsilon. CLI:
-  /// --adaptive-epsilon.
-  bool adaptive_epsilon = false;
-
-  /// kResidual tuning: a document is deferred when its relative residual
-  /// falls below residual_defer_ratio x the previous pass's max relative
-  /// change (no deferral once that max is within epsilon — the endgame
-  /// runs exhaustively). Each peer always processes its highest-residual
-  /// document, and no document is deferred more than residual_max_defer
-  /// consecutive passes, which bounds staleness and guarantees progress.
-  double residual_defer_ratio = 0.5;
-  std::uint32_t residual_max_defer = 8;
 
   /// Run the engine's full invariant walk (DistributedPagerank
   /// validate_state(); see common/contracts.hpp) every n-th pass boundary

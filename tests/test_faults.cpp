@@ -22,15 +22,17 @@ PagerankOptions opts(double eps) {
 }
 
 TEST(Faults, ValidatesProbabilities) {
-  const Digraph g = figure2_graph();
-  const auto p = Placement::random(6, 2, 1);
-  DistributedPagerank engine(g, p, opts(1e-3));
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 1.0}),
+  // Out-of-range send probabilities never reach an engine: the plan
+  // rejects them at construction. A certain drop would starve the
+  // iteration, so drop must stay below 1; a certain duplicate is legal.
+  EXPECT_THROW(FaultPlan({.drop_probability = 1.0}), std::invalid_argument);
+  EXPECT_THROW(FaultPlan({.drop_probability = -0.1}), std::invalid_argument);
+  EXPECT_THROW(FaultPlan({.duplicate_probability = 1.5}),
                std::invalid_argument);
-  EXPECT_THROW(engine.inject_faults({.drop_probability = -0.1}),
+  EXPECT_THROW(FaultPlan({.duplicate_probability = -0.1}),
                std::invalid_argument);
-  EXPECT_THROW(engine.inject_faults({.duplicate_probability = 1.5}),
-               std::invalid_argument);
+  EXPECT_NO_THROW(FaultPlan({.drop_probability = 0.99}));
+  EXPECT_NO_THROW(FaultPlan({.duplicate_probability = 1.0}));
 }
 
 TEST(Faults, InjectAfterRunRejected) {
@@ -38,8 +40,8 @@ TEST(Faults, InjectAfterRunRejected) {
   const auto p = Placement::random(6, 2, 1);
   DistributedPagerank engine(g, p, opts(1e-3));
   (void)engine.run();
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 0.1}),
-               std::logic_error);
+  FaultPlan plan({.drop_probability = 0.1});
+  EXPECT_THROW(engine.attach_fault_plan(plan), std::logic_error);
 }
 
 TEST(Faults, DuplicatesAreHarmless) {
@@ -52,7 +54,8 @@ TEST(Faults, DuplicatesAreHarmless) {
   ASSERT_TRUE(clean.run().converged);
 
   DistributedPagerank dup(g, p, opts(1e-5));
-  dup.inject_faults({.duplicate_probability = 0.3, .seed = 5});
+  FaultPlan plan({.duplicate_probability = 0.3, .seed = 5});
+  dup.attach_fault_plan(plan);
   ASSERT_TRUE(dup.run().converged);
 
   EXPECT_GT(dup.duplicated_messages(), 0u);
@@ -71,9 +74,8 @@ TEST(Faults, ModerateLossDegradesGracefully) {
   double prev_err = 0.0;
   for (const double drop : {0.0, 0.05, 0.20}) {
     DistributedPagerank engine(g, p, opts(1e-4));
-    if (drop > 0) {
-      engine.inject_faults({.drop_probability = drop, .seed = 7});
-    }
+    FaultPlan plan({.drop_probability = drop, .seed = 7});
+    if (drop > 0) engine.attach_fault_plan(plan);
     ASSERT_TRUE(engine.run().converged) << "drop=" << drop;
     const auto q = summarize_quality(engine.ranks(), ref);
     EXPECT_GE(q.avg, prev_err * 0.5) << "drop=" << drop;
@@ -91,7 +93,8 @@ TEST(Faults, LossNeverPreventsTermination) {
   const auto p = Placement::random(1500, 30, 14);
   for (const double drop : {0.5, 0.9}) {
     DistributedPagerank engine(g, p, opts(1e-3));
-    engine.inject_faults({.drop_probability = drop, .seed = 11});
+    FaultPlan plan({.drop_probability = drop, .seed = 11});
+    engine.attach_fault_plan(plan);
     const auto run = engine.run();
     EXPECT_TRUE(run.converged) << "drop=" << drop;
     // Heavy loss usually *shortens* the run (updates stop propagating).
@@ -107,7 +110,8 @@ TEST(Faults, OutboxPathStaysReliableUnderChurn) {
   const auto p = Placement::random(1500, 30, 15);
   ChurnSchedule churn(30, 0.5, 15);
   DistributedPagerank engine(g, p, opts(1e-3));
-  engine.inject_faults({.drop_probability = 0.1, .seed = 13});
+  FaultPlan plan({.drop_probability = 0.1, .seed = 13});
+  engine.attach_fault_plan(plan);
   const auto run = engine.run(&churn);
   EXPECT_TRUE(run.converged);
   EXPECT_GT(engine.outbox_peak(), 0u);
@@ -245,34 +249,6 @@ TEST(FaultPlanTest, RetryIntervalBacksOffExponentially) {
   EXPECT_EQ(plan.retry_interval(9), 16u);  // capped
 }
 
-// ---- legacy shim vs explicit plan ----
-
-TEST(Faults, ShimReplaysIdenticalHistoryAsExplicitPlan) {
-  // inject_faults() is a compatibility shim over FaultPlan: the same
-  // probabilities and seed must produce the bit-identical run.
-  const Digraph g = paper_graph(2000, 21);
-  const auto p = Placement::random(2000, 40, 21);
-
-  DistributedPagerank legacy(g, p, opts(1e-4));
-  legacy.inject_faults(
-      {.drop_probability = 0.1, .duplicate_probability = 0.2, .seed = 9});
-  ASSERT_TRUE(legacy.run().converged);
-
-  DistributedPagerank modern(g, p, opts(1e-4));
-  FaultPlan plan(
-      {.drop_probability = 0.1, .duplicate_probability = 0.2, .seed = 9});
-  modern.attach_fault_plan(plan);
-  ASSERT_TRUE(modern.run().converged);
-
-  EXPECT_EQ(legacy.dropped_messages(), modern.dropped_messages());
-  EXPECT_EQ(legacy.duplicated_messages(), modern.duplicated_messages());
-  EXPECT_EQ(legacy.traffic().messages(), modern.traffic().messages());
-  ASSERT_EQ(legacy.ranks().size(), modern.ranks().size());
-  for (std::size_t i = 0; i < legacy.ranks().size(); ++i) {
-    ASSERT_EQ(legacy.ranks()[i], modern.ranks()[i]) << "doc " << i;
-  }
-}
-
 TEST(Faults, DoubleAttachRejected) {
   const Digraph g = figure2_graph();
   const auto p = Placement::random(6, 2, 1);
@@ -281,8 +257,6 @@ TEST(Faults, DoubleAttachRejected) {
   DistributedPagerank engine(g, p, opts(1e-3));
   engine.attach_fault_plan(plan);
   EXPECT_THROW(engine.attach_fault_plan(other), std::logic_error);
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 0.1}),
-               std::logic_error);
 }
 
 TEST(Faults, ReorderingIsHandledBySequenceNumbers) {
@@ -323,7 +297,8 @@ TEST(Faults, AckedDeliveryRetransmitsDrops) {
   EXPECT_GT(engine.dropped_messages(), 0u);
 
   DistributedPagerank unacked(g, p, opts(1e-4));
-  unacked.inject_faults({.drop_probability = 0.2, .seed = 25});
+  FaultPlan lossy({.drop_probability = 0.2, .seed = 25});
+  unacked.attach_fault_plan(lossy);
   ASSERT_TRUE(unacked.run().converged);
 
   const auto q_acked = summarize_quality(engine.ranks(), ref);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -67,6 +68,43 @@ TEST_F(GraphIoTest, TruncatedFileThrows) {
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size / 2);
   EXPECT_THROW(load_graph(path), std::runtime_error);
+}
+
+// A header-only file: magic, version, then the declared n and m.
+void write_header(const std::filesystem::path& path, std::uint64_t n,
+                  std::uint64_t m) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  const std::uint64_t magic = 0x44505247'52415048ULL;  // "DPRGRAPH"
+  const std::uint32_t version = 1;
+  os.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  os.write(reinterpret_cast<const char*>(&m), sizeof(m));
+}
+
+std::string load_error(const std::filesystem::path& path) {
+  try {
+    (void)load_graph(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(GraphIoTest, EdgeCountBeyondFileSizeThrows) {
+  // 2^40 declared edges would reserve 8 TB; the file holds none.
+  const auto path = dir_ / "huge_m.dpg";
+  write_header(path, 10, std::uint64_t{1} << 40);
+  const std::string err = load_error(path);
+  EXPECT_NE(err.find("edge count"), std::string::npos) << err;
+}
+
+TEST_F(GraphIoTest, NodeCountBeyondNodeIdRangeThrows) {
+  // 2^32 + 5 nodes would truncate to a 5-node graph through NodeId.
+  const auto path = dir_ / "huge_n.dpg";
+  write_header(path, (std::uint64_t{1} << 32) + 5, 0);
+  const std::string err = load_error(path);
+  EXPECT_NE(err.find("node count"), std::string::npos) << err;
 }
 
 TEST_F(GraphIoTest, LoadOrBuildBuildsOnceThenLoads) {

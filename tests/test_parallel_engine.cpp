@@ -4,15 +4,17 @@
 // changes wall time only. For ANY configuration, running the same seeded
 // experiment at --threads=1 and --threads=4 must produce bit-identical
 // ranks, pass history, traffic ledger and convergence record — on the
-// batched fast path (clean, churn) and on the sequential-exchange slow
-// path (overlay, crash faults) alike.
+// fused exchange (clean, churn) and on the ordered exchange (overlay,
+// crash faults, replicas) alike. Only the recompute runs on the pool.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
+#include "common/env.hpp"
 #include "dht/ring.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
@@ -20,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
+#include "p2p/replication.hpp"
 #include "pagerank/distributed_engine.hpp"
 
 namespace dprank {
@@ -33,8 +36,9 @@ struct Scenario {
   std::uint64_t seed = 42;
   double availability = 1.0;  // < 1 = churn
   bool overlay = false;       // chord ring + ip cache (slow path)
-  bool crash_faults = false;  // drop + crash plan + audit (slow path)
-  bool coalesce = false;      // §4.6.1 batch billing (fast path only)
+  bool crash_faults = false;  // drop + crash plan + audit (ordered path)
+  bool replicas = false;      // one replica per doc (ordered path)
+  bool coalesce = false;      // §4.6.1 batch billing (fused path only)
   std::uint64_t max_passes = 0;  // 0 = engine default
 };
 
@@ -49,6 +53,9 @@ struct Capture {
   std::uint64_t hops = 0;
   std::uint64_t bytes = 0;
   std::uint64_t outbox_peak = 0;
+  std::uint64_t replica_messages = 0;
+  std::uint64_t replica_restores = 0;
+  std::uint64_t replica_stale = 0;
 };
 
 Capture run_scenario(const Scenario& sc) {
@@ -64,6 +71,8 @@ Capture run_scenario(const Scenario& sc) {
   const ChordRing ring(kPeers);
   IpCache cache(true);
   if (sc.overlay) engine.attach_overlay(ring, cache);
+  const auto replicas = ReplicaRegistry::uniform(placement, 1, sc.seed);
+  if (sc.replicas) engine.attach_replicas(replicas);
 
   std::optional<FaultPlan> plan;
   if (sc.crash_faults) {
@@ -94,6 +103,9 @@ Capture run_scenario(const Scenario& sc) {
   cap.hops = engine.traffic().hop_transmissions();
   cap.bytes = engine.traffic().bytes();
   cap.outbox_peak = engine.outbox_peak();
+  cap.replica_messages = engine.replica_messages();
+  cap.replica_restores = engine.replica_restores();
+  cap.replica_stale = engine.replica_stale_skips();
   return cap;
 }
 
@@ -134,6 +146,9 @@ void expect_identical(const Capture& a, const Capture& b) {
   EXPECT_EQ(a.hops, b.hops);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.outbox_peak, b.outbox_peak);
+  EXPECT_EQ(a.replica_messages, b.replica_messages);
+  EXPECT_EQ(a.replica_restores, b.replica_restores);
+  EXPECT_EQ(a.replica_stale, b.replica_stale);
 }
 
 const std::uint64_t kSeeds[] = {7, 21, 42};
@@ -193,6 +208,24 @@ TEST(ParallelEngine, CrashFaultRunBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelEngine, ReplicaCrashFaultRunBitIdenticalAcrossThreadCounts) {
+  // Replicas attached to a crash plan: every recompute mirrors the new
+  // rank into the replica store inside the parallel compute, and crash
+  // recovery restores from it. Restores read those values, so a torn or
+  // misordered mirror write shows up in the ranks.
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    const Capture seq = run_scenario(
+        {.threads = 1, .seed = seed, .crash_faults = true, .replicas = true});
+    const Capture par = run_scenario(
+        {.threads = 4, .seed = seed, .crash_faults = true, .replicas = true});
+    ASSERT_TRUE(seq.run.converged);
+    ASSERT_GT(seq.replica_restores, 0u);  // recovery read replica values
+    ASSERT_GT(seq.replica_messages, 0u);
+    expect_identical(seq, par);
+  }
+}
+
 TEST(ParallelEngine, ChurnPlusCrashFaultsBitIdenticalAcrossThreadCounts) {
   // Churn layered on a crash plan may not converge before the cap (lost
   // mass keeps residuals hot); equivalence must hold either way, so the
@@ -248,19 +281,40 @@ TEST(ParallelEngine, CoalescedBillingKeepsRanksAndCountsUpdates) {
   EXPECT_EQ(sent, co.messages);
 }
 
-// Billing order. threads=1 takes the fused exchange, which bills each
-// source peer's destinations in first-touch order; threads=4 bills the
-// batched exchange's buckets sorted by destination. Every consumer of
-// the per-destination tally is a commutative integer sum, so the ledger
-// and the batch-size histogram must come out identical either way.
+// Billing. The fused exchange bills each source peer's destinations in
+// first-touch order; every consumer of the per-destination tally is a
+// commutative integer sum. The goldens below were recorded on the engine
+// that still had a second, destination-sorted batched exchange at
+// threads > 1, where both exchanges produced these exact values, so they
+// pin that billing for every thread count now that one exchange serves
+// them all.
 struct Billing {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t batched_updates = 0;
   std::uint64_t local_updates = 0;
-  obs::HistogramSummary batch;
-  std::vector<std::pair<double, std::uint64_t>> batch_buckets;
-  std::vector<PassStats> history;
+  std::uint64_t batch_count = 0;  // pagerank.batch_size histogram
+  double batch_sum = 0.0;
+  double batch_min = 0.0;
+  double batch_max = 0.0;
+  std::uint64_t batch_buckets = 0;  // FNV-1a of (upper bound, count)
+  std::uint64_t passes = 0;
+  // FNV-1a of per-pass (messages_sent, max_peer_messages).
+  std::uint64_t pass_billing = 0;
+  std::uint64_t pass0_local_updates = 0;
+  std::uint64_t pass0_max_peer_messages = 0;
+};
+
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ULL;
+  template <typename T>
+  void mix(const T& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  }
 };
 
 Billing bill(std::uint32_t threads, bool coalesce, NodeId docs, PeerId peers,
@@ -281,39 +335,71 @@ Billing bill(std::uint32_t threads, bool coalesce, NodeId docs, PeerId peers,
   b.batched_updates = engine.traffic().batched_updates();
   b.local_updates = engine.traffic().local_updates();
   const obs::Histogram& h = reg.histogram("pagerank.batch_size");
-  b.batch = h.summarize();
-  b.batch_buckets = h.buckets();
-  b.history = engine.pass_history();
+  const obs::HistogramSummary sum = h.summarize();
+  b.batch_count = sum.count;
+  b.batch_sum = sum.sum;
+  b.batch_min = sum.min;
+  b.batch_max = sum.max;
+  Fnv buckets;
+  for (const auto& [upper, count] : h.buckets()) {
+    buckets.mix(upper);
+    buckets.mix(count);
+  }
+  b.batch_buckets = buckets.h;
+  Fnv passes;
+  for (const PassStats& p : engine.pass_history()) {
+    passes.mix(p.messages_sent);
+    passes.mix(p.max_peer_messages);
+  }
+  b.passes = engine.pass_history().size();
+  b.pass_billing = passes.h;
+  b.pass0_local_updates = engine.pass_history().at(0).local_updates;
+  b.pass0_max_peer_messages = engine.pass_history().at(0).max_peer_messages;
   return b;
 }
 
-void expect_same_billing(const Billing& a, const Billing& b) {
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_EQ(a.batched_updates, b.batched_updates);
-  EXPECT_EQ(a.local_updates, b.local_updates);
-  EXPECT_EQ(a.batch.count, b.batch.count);
-  EXPECT_EQ(a.batch.sum, b.batch.sum);
-  EXPECT_EQ(a.batch.min, b.batch.min);
-  EXPECT_EQ(a.batch.max, b.batch.max);
-  EXPECT_EQ(a.batch_buckets, b.batch_buckets);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].messages_sent, b.history[i].messages_sent)
-        << "pass " << i;
-    EXPECT_EQ(a.history[i].max_peer_messages, b.history[i].max_peer_messages)
-        << "pass " << i;
-  }
+void expect_billing(const Billing& got, const Billing& want) {
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.batched_updates, want.batched_updates);
+  EXPECT_EQ(got.local_updates, want.local_updates);
+  EXPECT_EQ(got.batch_count, want.batch_count);
+  EXPECT_EQ(got.batch_sum, want.batch_sum);
+  EXPECT_EQ(got.batch_min, want.batch_min);
+  EXPECT_EQ(got.batch_max, want.batch_max);
+  EXPECT_EQ(got.batch_buckets, want.batch_buckets);
+  EXPECT_EQ(got.passes, want.passes);
+  EXPECT_EQ(got.pass_billing, want.pass_billing);
+  EXPECT_EQ(got.pass0_local_updates, want.pass0_local_updates);
+  EXPECT_EQ(got.pass0_max_peer_messages, want.pass0_max_peer_messages);
 }
+
+// 2000 docs, seed 42: 40 peers; per-update then coalesced billing.
+constexpr Billing kBilling40[] = {
+    {17357, 416568, 0, 420, 10438, 17357.0, 1.0, 17.0,
+     0x6112c7ead1cd53feULL, 38, 0x5dc4e185bab0c943ULL, 82, 237},
+    {10438, 583576, 17357, 420, 10438, 17357.0, 1.0, 17.0,
+     0x6112c7ead1cd53feULL, 38, 0xea8b9b47e94b8508ULL, 82, 38},
+};
+// 2000 docs, seed 7: 3 peers; per-update then coalesced billing.
+constexpr Billing kBilling3[] = {
+    {11135, 267240, 0, 5513, 140, 11135.0, 1.0, 485.0,
+     0x8396f7e8794443daULL, 25, 0x73f185e1dba65d57ULL, 1093, 831},
+    {140, 269480, 11135, 5513, 140, 11135.0, 1.0, 485.0,
+     0x8396f7e8794443daULL, 25, 0x8fdb1d0a42debc67ULL, 1093, 2},
+};
 
 TEST(ParallelEngine, BillingIsOrderFree) {
   for (const bool coalesce : {false, true}) {
     SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
-    const Billing fused = bill(1, coalesce, kDocs, kPeers, 42);
-    const Billing sorted = bill(4, coalesce, kDocs, kPeers, 42);
-    ASSERT_GT(fused.batch.count, 0u);
-    ASSERT_GT(fused.batch.max, 1.0);  // multi-update batches were billed
-    expect_same_billing(fused, sorted);
+    const Billing& want = kBilling40[coalesce ? 1 : 0];
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      const Billing got = bill(threads, coalesce, kDocs, kPeers, 42);
+      ASSERT_GT(got.batch_count, 0u);
+      ASSERT_GT(got.batch_max, 1.0);  // multi-update batches were billed
+      expect_billing(got, want);
+    }
   }
 }
 
@@ -326,17 +412,30 @@ TEST(ParallelEngine, BillingIsOrderFreeWhenOneSourceTouchesEveryPeer) {
   constexpr PeerId kFewPeers = 3;
   for (const bool coalesce : {false, true}) {
     SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
-    const Billing fused = bill(1, coalesce, kDocs, kFewPeers, 7);
-    const Billing sorted = bill(4, coalesce, kDocs, kFewPeers, 7);
-    ASSERT_FALSE(fused.history.empty());
-    EXPECT_GT(fused.history[0].local_updates, 0u);
-    if (coalesce) {
-      // One wire message per remote destination: some source peer
-      // billed all of the others in pass 0.
-      EXPECT_EQ(fused.history[0].max_peer_messages, kFewPeers - 1);
+    const Billing& want = kBilling3[coalesce ? 1 : 0];
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      const Billing got = bill(threads, coalesce, kDocs, kFewPeers, 7);
+      EXPECT_GT(got.pass0_local_updates, 0u);
+      if (coalesce) {
+        // One wire message per remote destination: some source peer
+        // billed all of the others in pass 0.
+        EXPECT_EQ(got.pass0_max_peer_messages, kFewPeers - 1);
+      }
+      expect_billing(got, want);
     }
-    expect_same_billing(fused, sorted);
   }
+}
+
+TEST(ParallelEngine, ThreadsAboveCapRejected) {
+  // Construction alone: no run(), so no pool is ever started.
+  const Digraph g = paper_graph(60, 5);
+  const auto placement = Placement::random(60, 3, 5);
+  PagerankOptions o;
+  o.threads = kMaxThreads + 1;
+  EXPECT_THROW(DistributedPagerank(g, placement, o), std::invalid_argument);
+  o.threads = kMaxThreads;
+  EXPECT_NO_THROW(DistributedPagerank(g, placement, o));
 }
 
 TEST(ParallelEngine, ThreadsBeyondPeersAreHarmless) {

@@ -1,30 +1,20 @@
-// Convergence-schedule tests (PagerankOptions::schedule).
+// Fifo golden digests for DistributedPagerank.
 //
-// Two contracts, each load-bearing for a different audience:
-//  * Schedule::kFifo (the default) is BIT-IDENTICAL to the engine that
-//    predates the scheduler: ranks, the full pass history, the traffic
-//    ledger and the outbox peak hash to golden digests recorded on the
-//    pre-scheduler build, at 1 and 4 threads, clean and churned. Anyone
-//    not opting into the scheduler gets exactly the old engine.
-//  * Schedule::kResidual converges at the same epsilon with materially
-//    fewer cross-peer messages, at fifo-level quality against the
-//    centralized oracle (Table 2's measure), and — like every engine
-//    configuration — produces bit-identical results for every thread
-//    count.
+// Ranks, the full pass history, the traffic ledger and the outbox peak
+// hash to golden digests recorded on the engine that predates the
+// contribution-store reindex, at 1 and 4 threads, clean and churned.
+// Every refactor of the pass pipeline must reproduce them bit for bit.
 
 #include "pagerank/distributed_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "graph/generator.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
-#include "pagerank/centralized.hpp"
-#include "pagerank/quality.hpp"
 
 namespace dprank {
 namespace {
@@ -138,185 +128,6 @@ TEST(ScheduleFifo, DeferredCounterStaysZero) {
   for (const PassStats& s : engine.pass_history()) {
     EXPECT_EQ(s.docs_deferred, 0u);
   }
-}
-
-// ---- residual schedule -----------------------------------------------
-
-struct ResidualOutcome {
-  std::vector<double> ranks;
-  std::uint64_t messages = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t deferred = 0;
-  bool converged = false;
-};
-
-ResidualOutcome run_schedule(const Digraph& g, const Placement& placement,
-                             Schedule schedule, std::uint32_t threads,
-                             bool adaptive = false) {
-  PagerankOptions o;
-  o.epsilon = 1e-3;
-  o.threads = threads;
-  o.schedule = schedule;
-  o.adaptive_epsilon = adaptive;
-  o.validate_every_n_passes = 16;  // exercise the scheduler invariants
-  DistributedPagerank engine(g, placement, o);
-  const DistributedRunResult run = engine.run();
-  ResidualOutcome out;
-  out.ranks = engine.ranks();
-  out.messages = engine.traffic().messages();
-  out.passes = run.passes;
-  out.converged = run.converged;
-  for (const PassStats& s : engine.pass_history()) {
-    out.deferred += s.docs_deferred;
-  }
-  return out;
-}
-
-TEST(ScheduleResidual, FewerMessagesAtTable1Config) {
-  // The Table 1 small configuration (10k docs, 500 peers, epsilon 1e-3,
-  // bench seed 42): the residual schedule must save at least 20% of the
-  // cross-peer update messages, the adaptive variant at least 25%.
-  const Digraph g = paper_graph(10'000, 42);
-  const auto placement = Placement::random(10'000, 500, 42);
-
-  const ResidualOutcome fifo =
-      run_schedule(g, placement, Schedule::kFifo, 1);
-  const ResidualOutcome residual =
-      run_schedule(g, placement, Schedule::kResidual, 1);
-  const ResidualOutcome adaptive =
-      run_schedule(g, placement, Schedule::kResidual, 1, /*adaptive=*/true);
-
-  ASSERT_TRUE(fifo.converged);
-  ASSERT_TRUE(residual.converged);
-  ASSERT_TRUE(adaptive.converged);
-  EXPECT_EQ(fifo.deferred, 0u);
-  EXPECT_GT(residual.deferred, 0u);
-
-  const auto saving = [&](const ResidualOutcome& r) {
-    return 1.0 - static_cast<double>(r.messages) /
-                     static_cast<double>(fifo.messages);
-  };
-  EXPECT_GE(saving(residual), 0.20)
-      << "residual messages " << residual.messages << " vs fifo "
-      << fifo.messages;
-  EXPECT_GE(saving(adaptive), 0.25)
-      << "adaptive messages " << adaptive.messages << " vs fifo "
-      << fifo.messages;
-
-  // Quality versus the centralized oracle (Table 2's measure): the
-  // schedule must not cost ordering or value accuracy beyond the epsilon
-  // tolerance fifo itself exhibits.
-  const auto oracle = centralized_pagerank(g, {});
-  const QualityReport qf = summarize_quality(fifo.ranks, oracle.ranks);
-  const QualityReport qr = summarize_quality(residual.ranks, oracle.ranks);
-  const QualityReport qa = summarize_quality(adaptive.ranks, oracle.ranks);
-  EXPECT_LE(qr.avg, qf.avg + 2e-3);
-  EXPECT_LE(qa.avg, qf.avg + 2e-3);
-  EXPECT_GE(kendall_tau_sampled(residual.ranks, oracle.ranks),
-            kendall_tau_sampled(fifo.ranks, oracle.ranks) - 0.01);
-  EXPECT_GE(kendall_tau_sampled(adaptive.ranks, oracle.ranks),
-            kendall_tau_sampled(fifo.ranks, oracle.ranks) - 0.01);
-}
-
-TEST(ScheduleResidual, ThreadCountInvariant) {
-  // The residual order itself (sorting, deferral, adaptive thresholds)
-  // must not observe the thread count: residual accumulation is sharded
-  // and merged in fixed order exactly like every other engine fold.
-  for (const std::uint64_t seed : {7ULL, 21ULL, 42ULL}) {
-    const Digraph g = paper_graph(kDocs, seed);
-    const auto placement = Placement::random(kDocs, kPeers, seed);
-    for (const bool adaptive : {false, true}) {
-      const ResidualOutcome one =
-          run_schedule(g, placement, Schedule::kResidual, 1, adaptive);
-      const ResidualOutcome four =
-          run_schedule(g, placement, Schedule::kResidual, 4, adaptive);
-      EXPECT_EQ(one.ranks, four.ranks)
-          << "seed=" << seed << " adaptive=" << adaptive;
-      EXPECT_EQ(one.messages, four.messages);
-      EXPECT_EQ(one.passes, four.passes);
-      EXPECT_EQ(one.deferred, four.deferred);
-    }
-  }
-}
-
-TEST(ScheduleResidual, ConvergesUnderChurn) {
-  // Absent peers park updates; deferral must not interact badly with the
-  // store-and-resend outbox (a deferred document that later receives a
-  // late delivery still drains its residual).
-  const Digraph g = paper_graph(kDocs, 21);
-  const auto placement = Placement::random(kDocs, kPeers, 21);
-  PagerankOptions o;
-  o.epsilon = 1e-3;
-  o.schedule = Schedule::kResidual;
-  o.validate_every_n_passes = 8;
-  DistributedPagerank engine(g, placement, o);
-  ChurnSchedule churn(kPeers, 0.85, 21);
-  const DistributedRunResult run = engine.run(&churn);
-  EXPECT_TRUE(run.converged);
-
-  PagerankOptions of = o;
-  of.schedule = Schedule::kFifo;
-  DistributedPagerank fifo(g, placement, of);
-  ChurnSchedule churn2(kPeers, 0.85, 21);
-  (void)fifo.run(&churn2);
-  double l1 = 0.0;
-  double norm = 0.0;
-  for (NodeId v = 0; v < kDocs; ++v) {
-    l1 += std::abs(engine.ranks()[v] - fifo.ranks()[v]);
-    norm += std::abs(fifo.ranks()[v]);
-  }
-  EXPECT_LT(l1 / norm, 5e-3);
-}
-
-TEST(ScheduleResidual, MaxDeferBoundsStaleness) {
-  // With an age cap of 1 every document is processed at least every
-  // other pass; the run must still converge and defer strictly less than
-  // the default cap allows.
-  const Digraph g = paper_graph(kDocs, 42);
-  const auto placement = Placement::random(kDocs, kPeers, 42);
-  PagerankOptions tight;
-  tight.epsilon = 1e-3;
-  tight.schedule = Schedule::kResidual;
-  tight.residual_max_defer = 1;
-  DistributedPagerank eng_tight(g, placement, tight);
-  ASSERT_TRUE(eng_tight.run().converged);
-
-  PagerankOptions loose = tight;
-  loose.residual_max_defer = 8;
-  DistributedPagerank eng_loose(g, placement, loose);
-  ASSERT_TRUE(eng_loose.run().converged);
-
-  std::uint64_t tight_deferred = 0;
-  for (const PassStats& s : eng_tight.pass_history()) {
-    tight_deferred += s.docs_deferred;
-  }
-  std::uint64_t loose_deferred = 0;
-  for (const PassStats& s : eng_loose.pass_history()) {
-    loose_deferred += s.docs_deferred;
-  }
-  EXPECT_LT(tight_deferred, loose_deferred);
-}
-
-TEST(ScheduleResidual, DeferredTelemetryMatchesHistory) {
-  obs::MetricsRegistry reg;
-  const Digraph g = paper_graph(kDocs, 7);
-  const auto placement = Placement::random(kDocs, kPeers, 7);
-  PagerankOptions o;
-  o.epsilon = 1e-3;
-  o.schedule = Schedule::kResidual;
-  DistributedPagerank engine(g, placement, o);
-  engine.attach_metrics(reg);
-  (void)engine.run();
-
-  std::uint64_t total = 0;
-  for (const PassStats& s : engine.pass_history()) total += s.docs_deferred;
-  const auto snap = reg.snapshot();
-  ASSERT_TRUE(snap.counters.contains("pagerank.docs_deferred"));
-  EXPECT_EQ(snap.counters.at("pagerank.docs_deferred"),
-            total);
-  ASSERT_TRUE(snap.series.contains("pagerank.deferred"));
-  EXPECT_EQ(snap.series.at("pagerank.deferred").size(),
-            engine.pass_history().size());
 }
 
 }  // namespace

@@ -8,16 +8,12 @@
 //   rank    --graph FILE [--peers P] [--epsilon E] [--placement MODE]
 //           [--availability F] [--threads T] [--ranks-out FILE]
 //           [--engine distributed|walk|gossip]
-//           [--schedule fifo|residual] [--adaptive-epsilon]
 //           [--check-invariants [N]]
 //           run the distributed pagerank computation; --engine selects
 //           the algorithm (default distributed = the paper's chaotic
 //           fifo iteration; walk = random-walk estimation; gossip =
-//           randomized gossip iteration); --schedule residual
-//           enables residual-prioritized scheduling (fewer update
-//           messages, ranks within epsilon of fifo) and
-//           --adaptive-epsilon additionally loosens the emission
-//           threshold early and tightens it as the run converges;
+//           randomized gossip iteration); --threads T (1..256) folds
+//           the recompute on T threads without changing the results;
 //           --check-invariants runs the full contract-validator sweep
 //           every N passes (default every pass) — needs a build with
 //           DPRANK_CHECK_INVARIANTS=ON (the default outside Release)
@@ -56,6 +52,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "engines/registry.hpp"
@@ -187,6 +184,12 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_rank(const Args& args) {
+  const std::uint64_t threads = args.get_u64("threads", experiment_threads());
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("--threads must be at most " +
+                                std::to_string(kMaxThreads) +
+                                ", got: " + std::to_string(threads));
+  }
   const Digraph g = load_graph(args.require("graph"));
   const auto peers =
       static_cast<PeerId>(args.get_u64("peers", 500));
@@ -202,20 +205,7 @@ int cmd_rank(const Args& args) {
 
   PagerankOptions options;
   options.epsilon = epsilon;
-  options.threads = static_cast<std::uint32_t>(
-      args.get_u64("threads", experiment_threads()));
-  const std::string schedule = args.get("schedule", "fifo");
-  if (schedule == "residual") {
-    options.schedule = Schedule::kResidual;
-  } else if (schedule != "fifo") {
-    throw std::invalid_argument("--schedule must be fifo or residual, got: " +
-                                schedule);
-  }
-  options.adaptive_epsilon = args.get_u64("adaptive-epsilon", 0) != 0;
-  if (options.adaptive_epsilon && options.schedule != Schedule::kResidual) {
-    throw std::invalid_argument(
-        "--adaptive-epsilon requires --schedule residual");
-  }
+  options.threads = static_cast<std::uint32_t>(threads);
   options.validate_every_n_passes = args.get_u64("check-invariants", 0);
   if (options.validate_every_n_passes != 0 && !contracts::enabled()) {
     std::cerr << "warning: --check-invariants requested but contract "
@@ -233,13 +223,10 @@ int cmd_rank(const Args& args) {
     throw std::invalid_argument("--engine must be one of " + known +
                                 ", got: " + engine_name);
   }
-  // The scheduler knobs are features of the fifo/residual engine only.
-  if (engine_name != "distributed" &&
-      (schedule != "fifo" || options.adaptive_epsilon ||
-       options.validate_every_n_passes != 0)) {
+  // The invariant walk is a feature of the distributed engine only.
+  if (engine_name != "distributed" && options.validate_every_n_passes != 0) {
     throw std::invalid_argument(
-        "--schedule/--adaptive-epsilon/--check-invariants only apply to "
-        "--engine distributed");
+        "--check-invariants only applies to --engine distributed");
   }
   EngineOptions engine_options;
   engine_options.pagerank = options;
@@ -271,14 +258,6 @@ int cmd_rank(const Args& args) {
             << " (" << format_count(engine->traffic().bytes()) << " bytes)\n"
             << "local upd: " << format_count(engine->traffic().local_updates())
             << "\n";
-  if (options.schedule == Schedule::kResidual) {
-    std::uint64_t deferred = 0;
-    for (const auto& pass : engine->pass_history()) {
-      deferred += pass.docs_deferred;
-    }
-    std::cout << "deferred:  " << format_count(deferred)
-              << " recomputes postponed by the residual schedule\n";
-  }
 
   const std::string ranks_out = args.get("ranks-out", "");
   if (!ranks_out.empty()) {
