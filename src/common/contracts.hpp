@@ -68,6 +68,16 @@ class ContractViolation : public std::logic_error {
 
 }  // namespace dprank::contracts
 
+/// Compiled-out contracts keep their operands in an unevaluated
+/// decltype: no code is generated, but the locals that only a check
+/// reads still count as used, so contracts-off builds stay warning-free.
+#define DPRANK_CONTRACT_UNEVALUATED(cond, subsystem, msg)              \
+  do {                                                                 \
+    static_cast<void>(sizeof(decltype(static_cast<void>(!(cond)),      \
+                                      static_cast<void>(subsystem),    \
+                                      static_cast<void>(msg), 0)));    \
+  } while (false)
+
 #if defined(DPRANK_CHECK_INVARIANTS) && DPRANK_CHECK_INVARIANTS
 #define DPRANK_ASSERT(cond, subsystem, msg)                             \
   do {                                                                  \
@@ -78,8 +88,7 @@ class ContractViolation : public std::logic_error {
   } while (false)
 #else
 #define DPRANK_ASSERT(cond, subsystem, msg) \
-  do {                                      \
-  } while (false)
+  DPRANK_CONTRACT_UNEVALUATED(cond, subsystem, msg)
 #endif
 
 /// Same machinery, distinct name: DPRANK_ASSERT guards local pre/post
@@ -96,6 +105,5 @@ class ContractViolation : public std::logic_error {
   } while (false)
 #else
 #define DPRANK_INVARIANT(cond, subsystem, msg) \
-  do {                                         \
-  } while (false)
+  DPRANK_CONTRACT_UNEVALUATED(cond, subsystem, msg)
 #endif

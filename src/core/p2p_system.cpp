@@ -92,7 +92,8 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
     }
   }
   meter_.record_messages(stats.cross_peer_messages,
-                         PagerankUpdate::kWireBytes);
+                         PagerankUpdate::kWireBytes,
+                         stats.cross_peer_messages);
 
   index_.publish_one(id, doc_terms, ranks_[id], placement_.peer_of(id),
                      &meter_);
@@ -113,7 +114,8 @@ void P2PSystem::remove_document(NodeId doc) {
                              &placement_);
   const auto stats = engine.propagate_delete(doc);
   meter_.record_messages(stats.cross_peer_messages,
-                         PagerankUpdate::kWireBytes);
+                         PagerankUpdate::kWireBytes,
+                         stats.cross_peer_messages);
   const std::vector<NodeId> touched = engine.last_touched();
 
   graph_.isolate_node(doc);

@@ -37,7 +37,7 @@ bool spans_touch(double alo, double ahi, double blo, double bhi) {
 
 double torus_distance(const CanSpace::Point& a, const CanSpace::Point& b) {
   double sum = 0.0;
-  for (int i = 0; i < CanSpace::kDims; ++i) {
+  for (std::size_t i = 0; i < CanSpace::kDims; ++i) {
     const double d = axis_distance(a[i], b[i]);
     sum += d * d;
   }
@@ -45,7 +45,7 @@ double torus_distance(const CanSpace::Point& a, const CanSpace::Point& b) {
 }
 
 bool CanSpace::Zone::contains(const Point& p) const {
-  for (int i = 0; i < kDims; ++i) {
+  for (std::size_t i = 0; i < kDims; ++i) {
     if (p[i] < lo[i] || p[i] >= hi[i]) return false;
   }
   return true;
@@ -53,13 +53,13 @@ bool CanSpace::Zone::contains(const Point& p) const {
 
 CanSpace::Point CanSpace::Zone::center() const {
   Point c{};
-  for (int i = 0; i < kDims; ++i) c[i] = (lo[i] + hi[i]) / 2.0;
+  for (std::size_t i = 0; i < kDims; ++i) c[i] = (lo[i] + hi[i]) / 2.0;
   return c;
 }
 
 double CanSpace::Zone::volume() const {
   double v = 1.0;
-  for (int i = 0; i < kDims; ++i) v *= hi[i] - lo[i];
+  for (std::size_t i = 0; i < kDims; ++i) v *= hi[i] - lo[i];
   return v;
 }
 
@@ -121,9 +121,9 @@ void CanSpace::join(PeerId peer) {
   // split it in half along its longest side.
   const Point p = peer_join_point(peer);
   Zone& victim = zones_[zone_of_point(p)];
-  int axis = 0;
+  std::size_t axis = 0;
   double longest = 0.0;
-  for (int i = 0; i < kDims; ++i) {
+  for (std::size_t i = 0; i < kDims; ++i) {
     const double side = victim.hi[i] - victim.lo[i];
     if (side > longest) {
       longest = side;
@@ -191,8 +191,8 @@ std::vector<std::size_t> CanSpace::neighbors_of_zone(std::size_t z) const {
     const Zone& b = zones_[o];
     // Adjacent iff they touch on exactly one axis and overlap on the
     // other (for d = 2).
-    for (int axis = 0; axis < kDims; ++axis) {
-      const int other = 1 - axis;
+    for (std::size_t axis = 0; axis < kDims; ++axis) {
+      const std::size_t other = 1 - axis;
       if (spans_touch(a.lo[axis], a.hi[axis], b.lo[axis], b.hi[axis]) &&
           spans_overlap(a.lo[other], a.hi[other], b.lo[other],
                         b.hi[other])) {

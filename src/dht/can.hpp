@@ -19,6 +19,7 @@
 // zones, adjacency, hop counts — is the real CAN algorithm.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ namespace dprank {
 
 class CanSpace {
  public:
-  static constexpr int kDims = 2;  // the CAN paper's default evaluation
+  static constexpr std::size_t kDims = 2;  // the CAN paper's default evaluation
   using Point = std::array<double, kDims>;
 
   struct Zone {

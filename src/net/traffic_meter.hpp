@@ -33,11 +33,14 @@ class TrafficMeter {
     bytes_.add(bytes * hops);
   }
 
-  /// `count` direct (1-hop) messages of `bytes_each` in one call.
-  void record_messages(std::uint64_t count, std::uint64_t bytes_each) noexcept {
+  /// `count` messages of `bytes_each` travelling `hops` overlay
+  /// transmissions between them (`hops == count` when every message is
+  /// direct). Bit-identical to the matching record_message calls.
+  void record_messages(std::uint64_t count, std::uint64_t bytes_each,
+                       std::uint64_t hops) noexcept {
     messages_.add(count);
-    hop_transmissions_.add(count);
-    bytes_.add(count * bytes_each);
+    hop_transmissions_.add(hops);
+    bytes_.add(bytes_each * hops);
   }
 
   /// One §4.6.1 coalesced transfer: `count` updates of `payload_bytes`
@@ -58,7 +61,7 @@ class TrafficMeter {
   /// messages").
   void record_local_update() noexcept { local_updates_.add(1); }
 
-  /// `count` local deliveries in one call (the fused exchange bills a
+  /// `count` local deliveries in one call (the engine's exchange bills a
   /// pass's same-peer updates at once).
   void record_local_updates(std::uint64_t count) noexcept {
     local_updates_.add(count);

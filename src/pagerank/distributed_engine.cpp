@@ -59,7 +59,9 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   dirty_.resize(n);
   for (NodeId v = 0; v < n; ++v) dirty_[v] = v;  // first pass: everyone
   next_dirty_.reserve(n);
-  peer_msgs_this_pass_.assign(placement.num_peers(), 0);
+  // The exchange tally every run bills through.
+  dst_count32_.assign(placement.num_peers(), 0);
+  touched_dsts_.assign(static_cast<std::size_t>(placement.num_peers()) + 1, 0);
 }
 
 void DistributedPagerank::attach_overlay(const ChordRing& ring,
@@ -729,14 +731,6 @@ bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
 }
 
 void DistributedPagerank::prepare_pass_state() {
-  // The fused exchange applies every update at its emission site with no
-  // per-send hooks. Fault plans, tracers, replicas, overlays, dynamic
-  // membership and the audit all consume ordered state (RNG draws, cache
-  // warms, trace event order, stale-owner counts), so those
-  // configurations take the ordered sender-major exchange.
-  ordered_exchange_ = plan_ != nullptr || tracer_ != nullptr ||
-                      replicas_ != nullptr || ring_ != nullptr ||
-                      membership_ != nullptr || audit_enabled_;
   const std::uint32_t threads = std::max<std::uint32_t>(1, options_.threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
   // Flat scratch sized once here, so no pass ever grows an allocation.
@@ -748,9 +742,9 @@ void DistributedPagerank::prepare_pass_state() {
   seq_cursor_.assign(num_peers, 0);
   active_peers_.reserve(num_peers);
   segments_.reserve(num_peers);
-  if (!ordered_exchange_) {
-    dst_count32_.assign(num_peers, 0);
-    touched_dsts_.assign(static_cast<std::size_t>(num_peers) + 1, 0);
+  // Per-send hooks: fault fates, overlay hops and trace journeys.
+  if (plan_ != nullptr || ring_ != nullptr || tracer_ != nullptr) {
+    dst_wire_.assign(num_peers, {});
   }
 }
 
@@ -860,13 +854,14 @@ void DistributedPagerank::recompute_dirty(const std::vector<bool>& presence,
   stats.max_rel_change = max_rel;
 }
 
-template <bool kAllPresent>
-void DistributedPagerank::exchange_sequential(
-    const std::vector<bool>& presence, PassStats& stats,
-    obs::Histogram* batch_hist) {
-  // Emission order: source peers ascending, senders in recompute order.
-  // Each update is one inline cell write plus a plain per-destination
-  // tally.
+template <bool kAllPresent, bool kHooks>
+void DistributedPagerank::exchange(const std::vector<bool>& presence,
+                                   PassStats& stats, std::uint64_t pass,
+                                   obs::Histogram* batch_hist) {
+  // Emission order: source peers ascending, senders in recompute order,
+  // out-edges in CSR order. Fault fates, overlay cache warms, channel
+  // sequence numbers, trace events and the next pass's dirty order all
+  // follow it.
   //
   // Each source peer bills its destinations in first-touch order, not
   // sorted. Every consumer of the tally is a commutative sum of
@@ -874,7 +869,11 @@ void DistributedPagerank::exchange_sequential(
   // max_peer_messages, and the batch-size histogram, whose records are
   // small integer-valued doubles (the sum stays exact; bucket counts,
   // min and max commute). Any billing order gives the same bits.
+  const bool hooked = kHooks && !dst_wire_.empty();
+  const bool fan_out = kHooks && replicas_ != nullptr && !replicas_->empty();
   std::uint64_t delivered_total = 0;
+  std::uint64_t hop_total = 0;
+  std::uint64_t duplicate_total = 0;
   std::uint64_t local_total = 0;
   // Wire-batch sizes are tallied in plain counters and recorded once
   // per size at the end of the pass: each histogram record is several
@@ -901,16 +900,22 @@ void DistributedPagerank::exchange_sequential(
       const EdgeId out_begin = graph_.out_edge_begin(u);
       const EdgeId out_end = graph_.out_edge_end(u);
       if (auditor != nullptr) {
-        // Only periodic validation feeds the ledger on this path (the
-        // mass audit forces the ordered exchange). Ledger writes are
-        // per edge and commute, so one sweep per sender keeps the test
-        // out of the edge loop.
+        // Every emission enters the ledger, whatever its fate. Ledger
+        // writes are per edge and commute with the loss sum, so one sweep
+        // per sender keeps the test out of the edge loop.
         for (EdgeId e = out_begin; e < out_end; ++e) auditor->on_emit(e, c);
       }
       for (EdgeId e = out_begin; e < out_end; ++e) {
         const NodeId v = graph_.out_target(e);
         const PeerId pv = placement_.peer_of(v);
-        if (kAllPresent || presence[pv]) {
+        if (pv != p && (hooked || !(kAllPresent || presence[pv]))) {
+          const Sent sent = send_remote(e, p, pv, v, c, pass, presence, stats);
+          if (sent != Sent::kParked) {
+            touched[num_touched] = pv;
+            num_touched += static_cast<std::size_t>(dst_count[pv]++ == 0);
+          }
+          if (sent == Sent::kDropped) continue;  // lost before the fan-out
+        } else {
           const EdgeId cell = cross32 != nullptr
                                   ? static_cast<EdgeId>(cross32[e])
                                   : graph_.out_to_in_edge(e);
@@ -923,17 +928,8 @@ void DistributedPagerank::exchange_sequential(
             in_dirty_[v] = 1;
             next_dirty_.push_back(v);
           }
-        } else {
-          // park(), with the bookkeeping inlined (no channel, tracer or
-          // fault plan can be attached on this path).
-          pending_value_[e] = c;
-          ++stats.messages_deferred;
-          if (!pending_[e]) {
-            pending_[e] = 1;
-            deferred_by_peer_[pv].emplace_back(e, p);
-            ++total_pending_;
-          }
         }
+        if (fan_out && presence[pv]) send_to_replicas(p, v, presence, stats);
       }
     }
     std::uint64_t cross_msgs = 0;  // wire messages this peer sent
@@ -944,21 +940,29 @@ void DistributedPagerank::exchange_sequential(
       if (dst == p) {
         local_total += k;
         stats.local_updates += k;
+        continue;
+      }
+      // Hook-free sends travel one hop each and are never duplicated.
+      DstWire wire{k, 1, 0};
+      if (hooked) {
+        wire = dst_wire_[dst];
+        dst_wire_[dst] = {};
+      }
+      delivered_total += k;
+      hop_total += wire.hops;
+      duplicate_total += wire.duplicates;
+      if (options_.coalesce_wire) {
+        meter_.record_batch(k, options_.batch_payload_bytes,
+                            options_.batch_header_bytes, wire.first_hops);
+        ++cross_msgs;
       } else {
-        delivered_total += k;
-        if (options_.coalesce_wire) {
-          meter_.record_batch(k, options_.batch_payload_bytes,
-                              options_.batch_header_bytes);
-          ++cross_msgs;
+        cross_msgs += k;
+      }
+      if (batch_hist != nullptr) {
+        if (k < kTalliedSizes) {
+          ++batch_tally[k];
         } else {
-          cross_msgs += k;
-        }
-        if (batch_hist != nullptr) {
-          if (k < kTalliedSizes) {
-            ++batch_tally[k];
-          } else {
-            batch_hist->record(static_cast<double>(k));
-          }
+          batch_hist->record(static_cast<double>(k));
         }
       }
     }
@@ -970,11 +974,89 @@ void DistributedPagerank::exchange_sequential(
       batch_hist->record_count(static_cast<double>(k), batch_tally[k]);
     }
   }
-  if (!options_.coalesce_wire && delivered_total != 0) {
-    meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
+  // A duplicate is one extra one-hop message, billed per update even when
+  // its original rode in a batch.
+  stats.messages_sent += duplicate_total;
+  std::uint64_t unbatched = duplicate_total;
+  std::uint64_t unbatched_hops = duplicate_total;
+  if (!options_.coalesce_wire) {
+    unbatched += delivered_total;
+    unbatched_hops += hop_total;
+  }
+  if (unbatched != 0) {
+    meter_.record_messages(unbatched, PagerankUpdate::kWireBytes,
+                           unbatched_hops);
   }
   if (local_total != 0) meter_.record_local_updates(local_total);
-  outbox_peak_ = std::max(outbox_peak_, total_pending_);
+}
+
+DistributedPagerank::Sent DistributedPagerank::send_remote(
+    EdgeId e, PeerId pu, PeerId pv, NodeId v, double c, std::uint64_t pass,
+    const std::vector<bool>& presence, PassStats& stats) {
+  const std::uint32_t seq = channel_ != nullptr ? channel_->next_seq(e) : 0;
+  if (!presence[pv] || !reachable(pu, pv)) {
+    if (plan_ != nullptr && presence[pv]) ++partition_deferrals_;
+    if (membership_ != nullptr && membership_->undetected_crash(pv)) {
+      // The sender does not know the owner is gone yet: the query goes
+      // out to the stale owner and parks until the verdict.
+      ++stale_owner_queries_;
+      ++stats.stale_owner_queries;
+    }
+    const obs::TraceId tid = tracer_ != nullptr
+                                 ? trace_send(e, pu, pv, v, c, pass, 1)
+                                 : obs::kNoTrace;
+    park(e, pu, pv, c, seq, tid, stats);
+    return Sent::kParked;
+  }
+  SendFate fate;
+  if (plan_ != nullptr) fate = plan_->fate_for_send();
+  // The sender pays for the message whatever its fate: it joins the
+  // pair's tally entry (the caller counts it) before the fate plays out.
+  const std::uint64_t hops = send_hops(pu, pv, v);
+  DstWire& wire = dst_wire_[pv];
+  if (dst_count32_[pv] == 0) wire.first_hops = hops;
+  wire.hops += hops;
+  const obs::TraceId tid = tracer_ != nullptr
+                               ? trace_send(e, pu, pv, v, c, pass, hops)
+                               : obs::kNoTrace;
+  if (fate.dropped) {
+    ++dropped_;
+    if (tid != obs::kNoTrace) {
+      tracer_->async_step(tid, "net.drop", "fault", pv, {});
+    }
+    if (channel_ != nullptr) {
+      // Unacked: schedule the retransmission.
+      channel_->track({e, pv, pu, c, seq, 0, tid}, pass);
+    } else {
+      if (auditor_ != nullptr) auditor_->on_known_loss(c);
+      if (tid != obs::kNoTrace) {
+        tracer_->async_end(tid, "update.lost", "fault", pv, {});
+      }
+    }
+    return Sent::kDropped;
+  }
+  if (fate.delay_passes > 0) {
+    delayed_[pass + 1 + fate.delay_passes].push_back({e, pu, c, seq, tid});
+    ++delayed_total_;
+    if (tid != obs::kNoTrace) {
+      tracer_->async_step(
+          tid, "net.delay", "fault", pv,
+          {{"passes", static_cast<double>(fate.delay_passes)}});
+    }
+  } else {
+    const bool applied = apply_update(e, c, seq, /*now=*/false);
+    trace_terminal(tid, applied, pv);
+  }
+  if (fate.duplicated) {
+    // Idempotent overwrite: the duplicate only costs traffic.
+    ++wire.duplicates;
+    ++duplicated_;
+    if (tracer_ != nullptr) tracer_->instant("net.duplicate", "fault", pv, {});
+    if (channel_ != nullptr && fate.delay_passes == 0) {
+      (void)channel_->accept(e, seq);  // suppressed by seq
+    }
+  }
+  return Sent::kSent;
 }
 
 void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
@@ -1026,7 +1108,7 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
          bytes(dirty_) + bytes(next_dirty_) + bytes(seq_docs_) +
          bytes(seq_acc_) + bytes(seq_count_) +
          bytes(seq_cursor_) + bytes(segments_) + bytes(dst_count32_) +
-         bytes(touched_dsts_);
+         bytes(touched_dsts_) + bytes(dst_wire_);
 }
 
 void DistributedPagerank::validate_state() const {
@@ -1064,7 +1146,7 @@ void DistributedPagerank::validate_state() const {
   check_queue(dirty_);
   check_queue(next_dirty_);
   std::size_t flagged = 0;
-  for (NodeId v = 0; v < n; ++v) flagged += in_dirty_[v] != 0 ? 1 : 0;
+  for (NodeId v = 0; v < n; ++v) flagged += in_dirty_[v] != 0 ? 1u : 0u;
   DPRANK_INVARIANT(
       flagged == dirty_.size() + next_dirty_.size(), kSub,
       "dirty flags (" + std::to_string(flagged) +
@@ -1096,7 +1178,7 @@ void DistributedPagerank::validate_state() const {
     }
   }
   std::uint64_t flagged_edges = 0;
-  for (EdgeId e = 0; e < m; ++e) flagged_edges += pending_[e] != 0 ? 1 : 0;
+  for (EdgeId e = 0; e < m; ++e) flagged_edges += pending_[e] != 0 ? 1u : 0u;
   DPRANK_INVARIANT(flagged_edges == parked_entries, kSub,
                    "outbox credit leak: " + std::to_string(flagged_edges) +
                        " edges flagged pending vs " +
@@ -1141,119 +1223,6 @@ void DistributedPagerank::validate_state() const {
   }
 }
 
-void DistributedPagerank::exchange_ordered(const std::vector<bool>& presence,
-                                           PassStats& stats,
-                                           std::uint64_t pass) {
-  // Sequential sender-major exchange: fault fates, overlay cache warms
-  // and trace events must observe emissions in one canonical order —
-  // peers ascending, each peer's senders in recompute order.
-  for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
-    const PeerId pu = active_peers_[ai];
-    const Segment& seg = segments_[ai];
-    for (std::uint64_t si = seg.begin; si < seg.sender_end; ++si) {
-      const NodeId u = seq_docs_[si];
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
-           ++e) {
-        const NodeId v = graph_.out_target(e);
-        const PeerId pv = placement_.peer_of(v);
-        bool replica_eligible = true;
-        if (pv == pu) {
-          contrib_[graph_.out_to_in_edge(e)] = c;
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          mark_dirty(v);
-          meter_.record_local_update();
-          ++stats.local_updates;
-        } else if (presence[pv] && reachable(pu, pv)) {
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          const std::uint32_t seq =
-              channel_ != nullptr ? channel_->next_seq(e) : 0;
-          SendFate fate;
-          if (plan_ != nullptr) fate = plan_->fate_for_send();
-          // The sender pays for the message whatever its fate.
-          const std::uint64_t hops = send_hops(pu, pv, v);
-          meter_.record_message(PagerankUpdate::kWireBytes, hops);
-          ++stats.messages_sent;
-          ++peer_msgs_this_pass_[pu];
-          const obs::TraceId tid =
-              tracer_ != nullptr ? trace_send(e, pu, pv, v, c, pass, hops)
-                                 : obs::kNoTrace;
-          if (fate.dropped) {
-            ++dropped_;
-            if (tid != obs::kNoTrace) {
-              tracer_->async_step(tid, "net.drop", "fault", pv, {});
-            }
-            if (channel_ != nullptr) {
-              // Unacked: schedule the retransmission.
-              channel_->track({e, pv, pu, c, seq, 0, tid}, pass);
-            } else {
-              if (auditor_ != nullptr) auditor_->on_known_loss(c);
-              if (tid != obs::kNoTrace) {
-                tracer_->async_end(tid, "update.lost", "fault", pv, {});
-              }
-            }
-            replica_eligible = false;  // lost before the fan-out point
-          } else {
-            if (fate.delay_passes > 0) {
-              delayed_[pass + 1 + fate.delay_passes].push_back(
-                  {e, pu, c, seq, tid});
-              ++delayed_total_;
-              if (tid != obs::kNoTrace) {
-                tracer_->async_step(
-                    tid, "net.delay", "fault", pv,
-                    {{"passes", static_cast<double>(fate.delay_passes)}});
-              }
-            } else {
-              const bool applied = apply_update(e, c, seq, /*now=*/false);
-              trace_terminal(tid, applied, pv);
-            }
-            if (fate.duplicated) {
-              // Idempotent overwrite: the duplicate only costs traffic.
-              meter_.record_message(PagerankUpdate::kWireBytes);
-              ++stats.messages_sent;
-              ++duplicated_;
-              if (tracer_ != nullptr) {
-                tracer_->instant("net.duplicate", "fault", pv, {});
-              }
-              if (channel_ != nullptr && fate.delay_passes == 0) {
-                (void)channel_->accept(e, seq);  // suppressed by seq
-              }
-            }
-          }
-        } else {
-          if (plan_ != nullptr && presence[pv]) ++partition_deferrals_;
-          if (membership_ != nullptr && membership_->undetected_crash(pv)) {
-            // The sender does not know the owner is gone yet: the query
-            // goes out to the stale owner and parks until the verdict.
-            ++stale_owner_queries_;
-            ++stats.stale_owner_queries;
-          }
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          const std::uint32_t seq =
-              channel_ != nullptr ? channel_->next_seq(e) : 0;
-          const obs::TraceId tid =
-              tracer_ != nullptr ? trace_send(e, pu, pv, v, c, pass, 1)
-                                 : obs::kNoTrace;
-          park(e, pu, pv, c, seq, tid, stats);
-        }
-        if (replica_eligible && replicas_ != nullptr &&
-            !replicas_->empty() && presence[pv]) {
-          send_to_replicas(pu, v, presence, stats);
-        }
-      }
-    }
-  }
-
-  stats.max_peer_messages = 0;
-  for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
-    if (segments_[ai].sender_end == segments_[ai].begin) continue;
-    const PeerId pu = active_peers_[ai];
-    stats.max_peer_messages =
-        std::max(stats.max_peer_messages, peer_msgs_this_pass_[pu]);
-    peer_msgs_this_pass_[pu] = 0;  // reset only touched entries
-  }
-}
-
 DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
                                               const PassObserver& observer) {
   if (ran_) throw std::logic_error("DistributedPagerank::run: already ran");
@@ -1283,9 +1252,12 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
       metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
                           : nullptr;
   obs::Histogram* batch_hist =
-      metrics_ != nullptr && !ordered_exchange_
-          ? &metrics_->histogram("pagerank.batch_size")
-          : nullptr;
+      metrics_ != nullptr ? &metrics_->histogram("pagerank.batch_size")
+                          : nullptr;
+  // Per-send hooks or a replica fan-out: compiled out of the exchange
+  // instantiation every other run takes.
+  const bool hooks = !dst_wire_.empty() ||
+                     (replicas_ != nullptr && !replicas_->empty());
 
   // Per-phase wall split of each pass, recorded only with a registry
   // attached: each lap charges the time since the previous one to its
@@ -1381,12 +1353,14 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
 
     // Phase 2: senders emit their new contribution on every out-link;
     // visible next pass (or parked in the outbox for absent peers).
-    if (ordered_exchange_) {
-      exchange_ordered(*presence, stats, pass);
+    if (everyone && !hooks) {
+      exchange<true, false>(*presence, stats, pass, batch_hist);
+    } else if (!hooks) {
+      exchange<false, false>(*presence, stats, pass, batch_hist);
     } else if (everyone) {
-      exchange_sequential<true>(*presence, stats, batch_hist);
+      exchange<true, true>(*presence, stats, pass, batch_hist);
     } else {
-      exchange_sequential<false>(*presence, stats, batch_hist);
+      exchange<false, true>(*presence, stats, pass, batch_hist);
     }
     lap(kExchange);
 

@@ -24,10 +24,11 @@
 //    segments on a reusable worker pool (common/thread_pool.hpp); each
 //    segment writes only its own documents' state and per-segment
 //    results are folded in peer order. The exchange always runs on the
-//    calling thread: the fused exchange on clean and churn-only
-//    configurations, and the ordered sender-major exchange when a fault
-//    plan, tracer, replicas, overlay, membership or mass audit is
-//    attached (those consume ordered RNG/cache/trace state). Ranks, pass
+//    calling thread, in one canonical order (peers ascending, senders in
+//    recompute order, out-edges in CSR order), whatever is attached: a
+//    fault plan, overlay or tracer adds a per-send hook, replicas fan
+//    out per edge, and membership, the mass audit and absent
+//    destinations act through the outbox and the ledger. Ranks, pass
 //    history and traffic tables are bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
 //    (Fig. 1 step b); cross-peer updates are counted in the traffic
@@ -442,8 +443,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::vector<NodeId> dirty_;       // docs to recompute this pass
   std::vector<NodeId> next_dirty_;  // docs to recompute next pass
 
-  std::vector<std::uint64_t> peer_msgs_this_pass_;
-
   // ---- pass execution (see the header comment) ----
   void prepare_pass_state();
   /// Invoke fn(shard) for every shard in [0, shards) — on the pool when
@@ -460,25 +459,31 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// front, in recompute order.
   void recompute_dirty(const std::vector<bool>& presence, bool all_present,
                        PassStats& stats);
-  /// Fused exchange (no fault plan, tracer, replicas, overlay,
-  /// membership or audit): delivery is one cell write at the emission
-  /// site plus a per-destination tally (at 500 peers the median batch is
-  /// one update, so materialized buckets cost more than the updates).
-  /// Each source peer's destinations are billed in first-touch order,
-  /// unsorted: every consumer of the tally is a commutative sum.
-  /// kAllPresent elides the per-edge presence test on churn-free runs.
-  template <bool kAllPresent>
-  void exchange_sequential(const std::vector<bool>& presence,
-                           PassStats& stats, obs::Histogram* batch_hist);
-  /// Ordered sender-major exchange (fault plan, tracer, replicas,
-  /// overlay, membership or audit attached): peers ascending, each
-  /// peer's senders in recompute order, so fault fates, cache warms and
-  /// trace events observe one canonical emission order.
-  void exchange_ordered(const std::vector<bool>& presence, PassStats& stats,
-                        std::uint64_t pass);
+  /// The exchange: every sender emits its contribution on each
+  /// out-edge, peers ascending, senders in recompute order, edges in CSR
+  /// order. A same-peer update or a hook-free send to a present peer is
+  /// one cell write, one dirty mark and one per-destination tally entry;
+  /// other cross-peer sends go through send_remote(). Each (source,
+  /// destination) pair is billed once from the tally after the source
+  /// peer's senders: every consumer of it is a commutative integer sum,
+  /// so first-touch order gives the same bits as any other.
+  /// kAllPresent elides the per-edge presence test on churn-free runs;
+  /// !kHooks compiles out the per-send hook and the replica fan-out.
+  template <bool kAllPresent, bool kHooks>
+  void exchange(const std::vector<bool>& presence, PassStats& stats,
+                std::uint64_t pass, obs::Histogram* batch_hist);
+  /// One cross-peer update that needs more than a cell write: a fault
+  /// plan, overlay or tracer is attached (channel sequence number, send
+  /// fate, overlay hops, trace journey), or the destination is absent or
+  /// partitioned (parked in the outbox). The sender pays for a sent
+  /// update whatever its fate, so kSent and kDropped both join the
+  /// pair's tally entry; a dropped update skips the replica fan-out.
+  enum class Sent : std::uint8_t { kSent, kDropped, kParked };
+  Sent send_remote(EdgeId e, PeerId pu, PeerId pv, NodeId v, double c,
+                   std::uint64_t pass, const std::vector<bool>& presence,
+                   PassStats& stats);
 
   std::unique_ptr<ThreadPool> pool_;  // only when options_.threads > 1
-  bool ordered_exchange_ = false;     // a hook needs exchange_ordered
   std::vector<PeerId> active_peers_;  // peers owning dirty docs, sorted
   // Per active peer, in active_peers_ order: its documents occupy
   // seq_docs_[begin, end) until the recompute, which compacts its
@@ -495,13 +500,22 @@ class DistributedPagerank : public PagerankEngineInterface {
   AlignedVec<double> seq_acc_;      // per-doc cell sums from the fold
   std::vector<std::uint32_t> seq_count_;    // per peer: docs this pass
   std::vector<std::uint64_t> seq_cursor_;   // per peer: scatter cursor
-  // exchange_sequential scratch: per-destination update counts, reset
-  // through touched_dsts_ after each source peer instead of cleared.
+  // exchange() tally: per-destination update counts, reset through
+  // touched_dsts_ after each source peer instead of cleared.
   // touched_dsts_ holds num_peers + 1 entries: the branch-free tally
   // stores every destination at the cursor, so once a source has
   // touched all num_peers peers its next store lands one past them.
   std::vector<std::uint32_t> dst_count32_;
   std::vector<PeerId> touched_dsts_;
+  // What send_remote() adds to a destination's tally entry, reset with
+  // it; sized only when a per-send hook is attached (hook-free sends are
+  // one hop each and never duplicated).
+  struct DstWire {
+    std::uint64_t hops = 0;        // overlay hops summed over the sends
+    std::uint64_t first_hops = 0;  // the first send's: a batch's hops
+    std::uint64_t duplicates = 0;  // extra one-hop duplicate messages
+  };
+  std::vector<DstWire> dst_wire_;
 
   TrafficMeter meter_;
   std::vector<PassStats> history_;

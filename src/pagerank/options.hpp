@@ -40,15 +40,19 @@ struct PagerankOptions {
   /// (common/env.hpp).
   std::uint32_t threads = 1;
 
-  /// Opt-in §4.6.1 coalesced-transfer billing for the fused exchange:
-  /// the k updates a source peer sends one destination in a pass travel
-  /// as ONE wire message of batch_header_bytes + k * batch_payload_bytes
+  /// Opt-in §4.6.1 coalesced-transfer billing for the exchange: the k
+  /// updates a source peer sends one destination in a pass travel as ONE
+  /// wire message of batch_header_bytes + k * batch_payload_bytes
   /// (TrafficMeter::record_batch), instead of k separate 24-byte
   /// messages. Changes the traffic model, not the ranks: convergence and
   /// pass history stay identical; traffic().messages() becomes the batch
   /// count with the per-update count in traffic().batched_updates().
-  /// Only the fused exchange coalesces — fault/overlay/replica runs
-  /// (the ordered exchange) and outbox drains always bill per update.
+  /// A (source, destination) pair is one batch whatever is attached:
+  /// dropped and delayed updates stay in their batch (the sender pays
+  /// whatever the fate), a duplicate is one extra per-update message, and
+  /// with an overlay the batch travels the hops of its first update (the
+  /// IpCache model: first message routed, later ones direct). Outbox
+  /// drains, retransmissions, repairs and replica sends bill per update.
   bool coalesce_wire = false;
 
   /// Wire framing for coalesce_wire (§4.6.1: 16-byte GUID + 8-byte rank

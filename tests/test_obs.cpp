@@ -204,7 +204,7 @@ TEST(ObsTrafficShim, ReplaysLegacyArithmetic) {
         ref.record_message(b, h);
         break;
       case 1:
-        meter.record_messages(h, b);
+        meter.record_messages(h, b, h);
         ref.record_messages(h, b);
         break;
       case 2:
@@ -222,6 +222,20 @@ TEST(ObsTrafficShim, ReplaysLegacyArithmetic) {
   EXPECT_EQ(meter.resends(), ref.resends);
   EXPECT_EQ(meter.hop_transmissions(), ref.hop_transmissions);
   EXPECT_EQ(meter.bytes(), ref.bytes);
+}
+
+TEST(ObsTrafficShim, RecordMessagesBillsAHopTotal) {
+  // One record_messages call with the summed hops of several messages
+  // equals one record_message call per message.
+  TrafficMeter total;
+  TrafficMeter each;
+  total.record_messages(3, 24, 1 + 4 + 2);
+  each.record_message(24, 1);
+  each.record_message(24, 4);
+  each.record_message(24, 2);
+  EXPECT_EQ(total.messages(), each.messages());
+  EXPECT_EQ(total.hop_transmissions(), each.hop_transmissions());
+  EXPECT_EQ(total.bytes(), each.bytes());
 }
 
 TEST(ObsTrafficShim, MergeResetAndFlush) {

@@ -3,9 +3,10 @@
 // The contract under test (see distributed_engine.hpp): the thread count
 // changes wall time only. For ANY configuration, running the same seeded
 // experiment at --threads=1 and --threads=4 must produce bit-identical
-// ranks, pass history, traffic ledger and convergence record — on the
-// fused exchange (clean, churn) and on the ordered exchange (overlay,
-// crash faults, replicas) alike. Only the recompute runs on the pool.
+// ranks, pass history, traffic ledger and convergence record — hook-free
+// (clean, churn) and with per-send hooks (overlay, crash faults, tracer)
+// or replicas alike. Only the recompute runs on the pool; the one
+// exchange runs on the calling thread.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "graph/generator.hpp"
 #include "net/ip_cache.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
 #include "p2p/replication.hpp"
@@ -35,10 +37,11 @@ struct Scenario {
   std::uint32_t threads = 1;
   std::uint64_t seed = 42;
   double availability = 1.0;  // < 1 = churn
-  bool overlay = false;       // chord ring + ip cache (slow path)
-  bool crash_faults = false;  // drop + crash plan + audit (ordered path)
-  bool replicas = false;      // one replica per doc (ordered path)
-  bool coalesce = false;      // §4.6.1 batch billing (fused path only)
+  bool overlay = false;       // chord ring + ip cache (per-send hook)
+  bool crash_faults = false;  // drop + crash plan + audit (per-send hook)
+  bool replicas = false;      // one replica per doc (per-edge fan-out)
+  bool observed = false;      // mass audit + tracer on a clean run
+  bool coalesce = false;      // §4.6.1 batch billing
   std::uint64_t max_passes = 0;  // 0 = engine default
 };
 
@@ -85,6 +88,11 @@ Capture run_scenario(const Scenario& sc) {
     plan.emplace(fc);
     engine.attach_fault_plan(*plan);
     engine.enable_mass_audit();
+  }
+  obs::Tracer tracer;
+  if (sc.observed) {
+    engine.enable_mass_audit();
+    engine.attach_tracer(tracer);
   }
 
   Capture cap;
@@ -153,6 +161,26 @@ void expect_identical(const Capture& a, const Capture& b) {
 
 const std::uint64_t kSeeds[] = {7, 21, 42};
 
+// coalesce_wire under the per-send hooks: a (source, destination) pair is
+// one batch whatever its updates' fates, so the coalesced run keeps the
+// per-update run's ranks and convergence, bills fewer wire messages, and
+// is bit-identical across thread counts.
+void expect_coalesced_matches(const Capture& plain, Scenario sc) {
+  sc.coalesce = true;
+  sc.threads = 1;
+  const Capture co1 = run_scenario(sc);
+  sc.threads = 4;
+  expect_identical(co1, run_scenario(sc));
+  ASSERT_EQ(plain.run.passes, co1.run.passes);
+  for (std::size_t v = 0; v < co1.ranks.size(); ++v) {
+    ASSERT_EQ(plain.ranks[v], co1.ranks[v]) << "rank diverged at doc " << v;
+  }
+  EXPECT_EQ(plain.batched_updates, 0u);
+  EXPECT_GT(co1.batched_updates, 0u);
+  EXPECT_LT(co1.messages, plain.messages);
+  EXPECT_EQ(co1.local_updates, plain.local_updates);
+}
+
 TEST(ParallelEngine, CleanRunBitIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
@@ -160,6 +188,14 @@ TEST(ParallelEngine, CleanRunBitIdenticalAcrossThreadCounts) {
     const Capture par = run_scenario({.threads = 4, .seed = seed});
     ASSERT_TRUE(seq.run.converged);
     expect_identical(seq, par);
+    // Observing must not change what is observed: the mass audit and a
+    // tracer leave ranks, pass history and traffic exactly as they are.
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      expect_identical(seq, run_scenario({.threads = threads,
+                                          .seed = seed,
+                                          .observed = true}));
+    }
   }
 }
 
@@ -177,9 +213,9 @@ TEST(ParallelEngine, ChurnRunBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEngine, OverlayRunBitIdenticalAcrossThreadCounts) {
-  // Overlay runs take the sequential-exchange slow path (the ip cache
-  // warms in emission order); only the compute phase parallelizes, and
-  // the result must not notice.
+  // Overlay sends run the per-send hook (the ip cache warms in emission
+  // order); only the compute phase parallelizes, and the result must not
+  // notice.
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
     const Capture seq =
@@ -189,13 +225,14 @@ TEST(ParallelEngine, OverlayRunBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(seq.run.converged);
     ASSERT_GT(seq.hops, seq.messages);  // DHT routing actually billed
     expect_identical(seq, par);
+    expect_coalesced_matches(seq, {.seed = seed, .overlay = true});
   }
 }
 
 TEST(ParallelEngine, CrashFaultRunBitIdenticalAcrossThreadCounts) {
-  // Fault plans consume RNG draws in emission order — the slow path
-  // keeps that order canonical, so the full drop/crash/recovery/audit
-  // history must replay identically under any thread count.
+  // Fault plans consume RNG draws in emission order — the exchange keeps
+  // that order canonical, so the full drop/crash/recovery/audit history
+  // must replay identically under any thread count.
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
     const Capture seq =
@@ -205,6 +242,7 @@ TEST(ParallelEngine, CrashFaultRunBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(seq.run.converged);
     ASSERT_GT(seq.resends, 0u);  // faults actually fired
     expect_identical(seq, par);
+    expect_coalesced_matches(seq, {.seed = seed, .crash_faults = true});
   }
 }
 
@@ -281,13 +319,13 @@ TEST(ParallelEngine, CoalescedBillingKeepsRanksAndCountsUpdates) {
   EXPECT_EQ(sent, co.messages);
 }
 
-// Billing. The fused exchange bills each source peer's destinations in
+// Billing. The exchange bills each source peer's destinations in
 // first-touch order; every consumer of the per-destination tally is a
 // commutative integer sum. The goldens below were recorded on the engine
 // that still had a second, destination-sorted batched exchange at
 // threads > 1, where both exchanges produced these exact values, so they
-// pin that billing for every thread count now that one exchange serves
-// them all.
+// pin that billing for every thread count and for observed runs (mass
+// audit and tracer attached) now that one exchange serves them all.
 struct Billing {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -318,7 +356,7 @@ struct Fnv {
 };
 
 Billing bill(std::uint32_t threads, bool coalesce, NodeId docs, PeerId peers,
-             std::uint64_t seed) {
+             std::uint64_t seed, bool observed = false) {
   const Digraph g = paper_graph(docs, seed);
   const auto placement = Placement::random(docs, peers, seed);
   PagerankOptions o;
@@ -328,6 +366,11 @@ Billing bill(std::uint32_t threads, bool coalesce, NodeId docs, PeerId peers,
   DistributedPagerank engine(g, placement, o);
   obs::MetricsRegistry reg;
   engine.attach_metrics(reg);
+  obs::Tracer tracer;
+  if (observed) {
+    engine.enable_mass_audit();
+    engine.attach_tracer(tracer);
+  }
   EXPECT_TRUE(engine.run().converged);
   Billing b;
   b.messages = engine.traffic().messages();
@@ -390,15 +433,19 @@ constexpr Billing kBilling3[] = {
 };
 
 TEST(ParallelEngine, BillingIsOrderFree) {
-  for (const bool coalesce : {false, true}) {
-    SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
-    const Billing& want = kBilling40[coalesce ? 1 : 0];
-    for (const std::uint32_t threads : {1u, 4u}) {
-      SCOPED_TRACE(threads);
-      const Billing got = bill(threads, coalesce, kDocs, kPeers, 42);
-      ASSERT_GT(got.batch_count, 0u);
-      ASSERT_GT(got.batch_max, 1.0);  // multi-update batches were billed
-      expect_billing(got, want);
+  for (const bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "audit + tracer" : "unobserved");
+    for (const bool coalesce : {false, true}) {
+      SCOPED_TRACE(coalesce ? "coalesced" : "per-update");
+      const Billing& want = kBilling40[coalesce ? 1 : 0];
+      for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const Billing got =
+            bill(threads, coalesce, kDocs, kPeers, 42, observed);
+        ASSERT_GT(got.batch_count, 0u);
+        ASSERT_GT(got.batch_max, 1.0);  // multi-update batches were billed
+        expect_billing(got, want);
+      }
     }
   }
 }
@@ -406,9 +453,9 @@ TEST(ParallelEngine, BillingIsOrderFree) {
 TEST(ParallelEngine, BillingIsOrderFreeWhenOneSourceTouchesEveryPeer) {
   // Few peers, many documents: in pass 0 every document sends, so a
   // source peer reaches every destination (itself included) and keeps
-  // emitting after its last first touch. The fused exchange's tally
-  // stores at its cursor on every emission, so this case runs the
-  // cursor one past num_peers entries.
+  // emitting after its last first touch. The exchange's tally stores at
+  // its cursor on every emission, so this case runs the cursor one past
+  // num_peers entries.
   constexpr PeerId kFewPeers = 3;
   for (const bool coalesce : {false, true}) {
     SCOPED_TRACE(coalesce ? "coalesced" : "per-update");

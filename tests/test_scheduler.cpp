@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/generator.hpp"
+#include "obs/trace.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
 
@@ -45,13 +46,18 @@ class Fnv {
 };
 
 std::uint64_t digest_run(std::uint64_t seed, std::uint32_t threads,
-                         double availability) {
+                         double availability, bool observed = false) {
   const Digraph g = paper_graph(kDocs, seed);
   const auto placement = Placement::random(kDocs, kPeers, seed);
   PagerankOptions o;
   o.epsilon = 1e-3;
   o.threads = threads;
   DistributedPagerank engine(g, placement, o);
+  obs::Tracer tracer;
+  if (observed) {
+    engine.enable_mass_audit();
+    engine.attach_tracer(tracer);
+  }
   DistributedRunResult run;
   if (availability < 1.0) {
     ChurnSchedule churn(kPeers, availability, seed);
@@ -110,11 +116,17 @@ constexpr GoldenEntry kGolden[] = {
 };
 
 TEST(ScheduleFifo, BitIdenticalToPreSchedulerEngine) {
-  for (const GoldenEntry& entry : kGolden) {
-    EXPECT_EQ(digest_run(entry.seed, entry.threads, entry.availability),
-              entry.digest)
-        << "seed=" << entry.seed << " threads=" << entry.threads
-        << " availability=" << entry.availability;
+  // Observed runs (mass audit and tracer attached) must reproduce the
+  // same digests: observing does not change what is observed.
+  for (const bool observed : {false, true}) {
+    for (const GoldenEntry& entry : kGolden) {
+      EXPECT_EQ(digest_run(entry.seed, entry.threads, entry.availability,
+                           observed),
+                entry.digest)
+          << "seed=" << entry.seed << " threads=" << entry.threads
+          << " availability=" << entry.availability
+          << " observed=" << observed;
+    }
   }
 }
 

@@ -94,7 +94,9 @@ class Args {
       // Boolean flags: a flag followed by another --flag (or the end of
       // the line) stands alone and reads as "1" (--check-invariants).
       if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-        values_[key] = "1";
+        // A std::string, not the literal: GCC 12 reports a false
+        // -Wrestrict on assigning a literal here at -O3.
+        values_[key] = std::string("1");
       } else {
         values_[key] = argv[++i];
       }
