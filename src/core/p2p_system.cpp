@@ -63,6 +63,9 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
           "P2PSystem::add_document: out-link to missing document");
     }
   }
+  // Taken before the new document exists, so refresh_index leaves it to
+  // the publish_one below instead of publishing it twice.
+  const std::vector<double> before = ranks_;
   const NodeId id = graph_.add_document(out_links);
   placement_.add_document(
       id, static_cast<PeerId>(rng_.bounded(config_.num_peers)));
@@ -70,34 +73,17 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
   live_.push_back(true);
   ranks_.push_back(config_.pagerank.initial_rank);
 
-  // §3.1: seed with the initial constant, send updates to out-links,
-  // then reconverge the new document itself (no in-links => rank 1-d).
-  const std::vector<double> before = ranks_;
   const Digraph snapshot = graph_.freeze();
   IncrementalPagerank engine(snapshot, ranks_, config_.pagerank,
                              &placement_);
-  auto stats = engine.seed_and_propagate(id);
-  std::vector<NodeId> touched = engine.last_touched();
-  const double true_rank = 1.0 - config_.pagerank.damping;
-  const double correction = true_rank - ranks_[id];
-  ranks_[id] = true_rank;
-  if (snapshot.out_degree(id) > 0 && correction != 0.0) {
-    const double fwd = config_.pagerank.damping * correction /
-                       static_cast<double>(snapshot.out_degree(id));
-    for (const NodeId w : snapshot.out_neighbors(id)) {
-      const auto more = engine.inject(w, fwd);
-      stats.cross_peer_messages += more.cross_peer_messages;
-      touched.insert(touched.end(), engine.last_touched().begin(),
-                     engine.last_touched().end());
-    }
-  }
+  const auto stats = engine.seed_and_correct(id);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes,
                          stats.cross_peer_messages);
 
   index_.publish_one(id, doc_terms, ranks_[id], placement_.peer_of(id),
                      &meter_);
-  refresh_index(touched, before);
+  refresh_index(engine.last_touched(), before);
   return id;
 }
 
@@ -109,22 +95,18 @@ void P2PSystem::remove_document(NodeId doc) {
     throw std::invalid_argument("P2PSystem::remove_document: not live");
   }
   const std::vector<double> before = ranks_;
-  const Digraph snapshot = graph_.freeze();
-  IncrementalPagerank engine(snapshot, ranks_, config_.pagerank,
-                             &placement_);
-  const auto stats = engine.propagate_delete(doc);
+  EmissionDiff diff(graph_, ranks_, config_.pagerank, &placement_);
+  diff.remove_document(doc);
+  const auto stats = diff.commit();
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes,
                          stats.cross_peer_messages);
-  const std::vector<NodeId> touched = engine.last_touched();
 
-  graph_.isolate_node(doc);
-  ranks_[doc] = 0.0;
   live_[doc] = false;
   index_.remove_document(doc, terms_[doc], placement_.peer_of(doc),
                          &meter_);
   terms_[doc].clear();
-  refresh_index(touched, before);
+  refresh_index(diff.last_touched(), before);
 }
 
 QueryOutcome P2PSystem::search(const std::vector<TermId>& query_terms,

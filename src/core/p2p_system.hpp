@@ -13,8 +13,10 @@
 //                         rank, propagate increments (Fig. 2), add its
 //                         postings, refresh index entries of every
 //                         document the cascade moved;
-//   * remove_document() — §3.1 delete: negated-rank propagation, link
-//                         and posting removal, index refresh;
+//   * remove_document() — §3.1 delete: link removal, then one emission
+//                         diff (the document's rank withdrawn, each
+//                         in-link source's rank re-spread over the links
+//                         it keeps), posting removal, index refresh;
 //   * search()          — §2.4.3 incremental multi-word search over the
 //                         maintained index.
 //
@@ -66,8 +68,9 @@ class P2PSystem {
   NodeId add_document(const std::vector<TermId>& terms,
                       const std::vector<NodeId>& out_links);
 
-  /// Delete a document (§3.1): negated-rank propagation, graph
-  /// isolation, posting removal. Requires converge() first.
+  /// Delete a document (§3.1) through EmissionDiff: graph isolation, its
+  /// rank withdrawn and its in-link sources re-spread, posting removal.
+  /// Requires converge() first.
   void remove_document(NodeId doc);
 
   /// Boolean multi-word search with pagerank-sorted incremental

@@ -43,14 +43,13 @@ class MutableDigraph {
   /// do in a real DHT). Returns the number of edges removed.
   ///
   /// Rank-mass note: isolating a node is only the structural half of a
-  /// document delete. The rank half — propagating the negated rank along
-  /// the out-links and zeroing the document's own rank — must happen in
-  /// the same step or the system is left holding dangling rank that no
-  /// live document backs (and, transiently, in-links still feeding mass
-  /// to a tombstone). Use IncrementalPagerank::propagate_full_delete (or
-  /// the delete_document convenience) rather than calling this directly
-  /// from ingest paths; the global rank sum intentionally drops by
-  /// ~R(v) per delete (see pagerank/incremental.hpp).
+  /// document delete. The rank half — withdrawing the document's
+  /// emissions, re-spreading each in-link source's rank over the links it
+  /// keeps, and zeroing the document's own rank — must happen in the same
+  /// write or the system is left holding rank that no live document
+  /// backs. Use EmissionDiff (pagerank/incremental.hpp; the
+  /// delete_document convenience wraps it) rather than calling this
+  /// directly from ingest paths.
   std::uint64_t isolate_node(NodeId v);
 
   [[nodiscard]] bool is_isolated(NodeId v) const {

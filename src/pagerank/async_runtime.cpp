@@ -63,7 +63,13 @@ class Mailbox {
     return out;
   }
 
-  void notify() { cv_.notify_one(); }
+  /// Wakes the owner after `stop` was set. Holding mu_ keeps the wake
+  /// out of the gap between drain_or_stop reading stop == false and
+  /// starting to wait, where it would be lost.
+  void notify() {
+    const std::lock_guard lock(mu_);
+    cv_.notify_one();
+  }
 
   /// Post-join probe for the end-of-run invariant walk: quiescence means
   /// every queue drained.

@@ -80,82 +80,84 @@ void IncrementalPagerank::deliver(const WorkItem& item,
   }
 }
 
-void IncrementalPagerank::touch_seed(NodeId node) {
-  if (covered_epoch_[node] != epoch_) {
-    covered_epoch_[node] = epoch_;
-    last_touched_.push_back(node);
-  }
-}
-
-PropagationStats IncrementalPagerank::seed_and_propagate(NodeId node) {
+PropagationStats IncrementalPagerank::seed(NodeId node, bool restore) {
   if (node >= graph_.num_nodes()) {
-    throw std::out_of_range("seed_and_propagate: bad node");
-  }
-  ranks_[node] = options_.initial_rank;
-  std::uint64_t cross = 0;
-  auto items = make_seed_items(node, options_.initial_rank, cross);
-  auto stats = run_cascade(std::move(items), false);
-  stats.cross_peer_messages += cross;
-  touch_seed(node);  // the seed's own rank was rewritten above
-  return stats;
-}
-
-PropagationStats IncrementalPagerank::probe_insert(NodeId node) {
-  if (node >= graph_.num_nodes()) {
-    throw std::out_of_range("probe_insert: bad node");
+    throw std::out_of_range("IncrementalPagerank: bad seed node");
   }
   const double old = ranks_[node];
   ranks_[node] = options_.initial_rank;
+  // A document with rank R contributes R/outdeg on each out-link; the
+  // damped effect on each target's rank is d * R / outdeg (Fig. 2 shows
+  // the d = 1 case: 1/3 then 1/6). Cross-peer seed messages are billed
+  // when a placement is attached.
+  const double share = options_.damping * options_.initial_rank;
+  const auto deg = static_cast<double>(graph_.out_degree(node));
+  const PeerId pn =
+      placement_ != nullptr ? placement_->peer_of(node) : kInvalidPeer;
   std::uint64_t cross = 0;
-  auto items = make_seed_items(node, options_.initial_rank, cross);
-  auto stats = run_cascade(std::move(items), true);
+  std::vector<WorkItem> items;
+  items.reserve(graph_.out_degree(node));
+  for (const NodeId w : graph_.out_neighbors(node)) {
+    if (placement_ != nullptr && placement_->peer_of(w) != pn) ++cross;
+    items.push_back({w, share / deg, 1});
+  }
+  auto stats = run_cascade(std::move(items), restore);
   stats.cross_peer_messages += cross;
-  ranks_[node] = old;
+  if (restore) {
+    ranks_[node] = old;
+  } else if (covered_epoch_[node] != epoch_) {
+    covered_epoch_[node] = epoch_;  // the seed's own rank was rewritten
+    last_touched_.push_back(node);
+  }
   return stats;
 }
 
-PropagationStats IncrementalPagerank::propagate_delete(NodeId node) {
-  if (node >= graph_.num_nodes()) {
-    throw std::out_of_range("propagate_delete: bad node");
-  }
-  std::uint64_t cross = 0;
-  auto items = make_seed_items(node, -ranks_[node], cross);
-  auto stats = run_cascade(std::move(items), false);
-  stats.cross_peer_messages += cross;
-  // The deleted document itself is touched: its rank is zeroed by the
-  // caller (propagate_full_delete / delete_document), and index
-  // consumers must drop their entry for it.
-  touch_seed(node);
-  return stats;
+PropagationStats IncrementalPagerank::seed_and_propagate(NodeId node) {
+  return seed(node, false);
 }
 
-PropagationStats IncrementalPagerank::propagate_full_delete(MutableDigraph& g,
-                                                            NodeId node) {
-  if (g.num_nodes() != graph_.num_nodes()) {
-    throw std::invalid_argument(
-        "propagate_full_delete: graph is not the snapshot source");
+PropagationStats IncrementalPagerank::probe_insert(NodeId node) {
+  return seed(node, true);
+}
+
+PropagationStats IncrementalPagerank::seed_and_correct(NodeId node) {
+  // §3.1: seed with the initial constant and send updates to out-links...
+  PropagationStats stats = seed_and_propagate(node);
+  std::vector<NodeId> touched = last_touched_;
+  // ...then "the system eventually reconverges": the new document has no
+  // in-links yet, so its own recompute settles at (1-d); the correction
+  // relative to the seed propagates like any other update.
+  const double true_rank = 1.0 - options_.damping;
+  const double correction = true_rank - ranks_[node];
+  ranks_[node] = true_rank;
+  const auto deg = graph_.out_degree(node);
+  if (deg > 0 && correction != 0.0) {
+    const double fwd =
+        options_.damping * correction / static_cast<double>(deg);
+    for (const NodeId w : graph_.out_neighbors(node)) {
+      const auto more = inject(w, fwd);
+      stats.updates_delivered += more.updates_delivered;
+      stats.cross_peer_messages += more.cross_peer_messages;
+      stats.path_length = std::max(stats.path_length, more.path_length + 1);
+      touched.insert(touched.end(), last_touched_.begin(),
+                     last_touched_.end());
+    }
   }
-  if (node >= graph_.num_nodes()) {
-    throw std::out_of_range("propagate_full_delete: bad node");
-  }
-  auto stats = propagate_delete(node);
-  g.isolate_node(node);
-  ranks_[node] = 0.0;
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  stats.nodes_covered = touched.size() - 1;  // every document but the seed
+  last_touched_ = std::move(touched);
   return stats;
 }
 
 PropagationStats IncrementalPagerank::inject(NodeId node, double delta) {
-  if (node >= graph_.num_nodes()) {
-    throw std::out_of_range("inject: bad node");
-  }
-  return run_cascade({{node, delta, 0}}, false);
+  return inject_batch({{node, delta}});
 }
 
 PropagationStats IncrementalPagerank::inject_batch(
     std::vector<std::pair<NodeId, double>> deltas) {
-  for (const auto& [node, delta] : deltas) {
-    (void)delta;
-    if (node >= graph_.num_nodes()) {
+  for (const auto& entry : deltas) {
+    if (entry.first >= graph_.num_nodes()) {
       throw std::out_of_range("inject_batch: bad node");
     }
   }
@@ -175,25 +177,92 @@ PropagationStats IncrementalPagerank::inject_batch(
   return run_cascade(std::move(items), false);
 }
 
-std::vector<IncrementalPagerank::WorkItem>
-IncrementalPagerank::make_seed_items(NodeId node, double rank_value,
-                                     std::uint64_t& cross_out) {
-  std::vector<WorkItem> items;
-  const auto deg = graph_.out_degree(node);
-  if (deg == 0) return items;
-  // A document with rank R contributes R/outdeg on each out-link; the
-  // damped effect on each target's rank is d * R / outdeg (Fig. 2 shows
-  // the d = 1 case: 1/3 then 1/6).
-  const double delta =
-      options_.damping * rank_value / static_cast<double>(deg);
-  items.reserve(deg);
-  const PeerId pn =
-      placement_ != nullptr ? placement_->peer_of(node) : kInvalidPeer;
-  for (const NodeId w : graph_.out_neighbors(node)) {
-    if (placement_ != nullptr && placement_->peer_of(w) != pn) ++cross_out;
-    items.push_back({w, delta, 1});
+EmissionDiff::EmissionDiff(MutableDigraph& g, std::vector<double>& ranks,
+                           const PagerankOptions& options,
+                           const Placement* placement)
+    : graph_(g),
+      ranks_(ranks),
+      options_(options),
+      placement_(placement),
+      state_(g.num_nodes(), kUntouched) {
+  if (ranks.size() != g.num_nodes()) {
+    throw std::invalid_argument("EmissionDiff: rank vector size");
   }
-  return items;
+}
+
+void EmissionDiff::touch(NodeId u) {
+  const NodeId n = graph_.num_nodes();
+  if (u >= n) throw std::out_of_range("EmissionDiff::touch: bad node");
+  if (state_.size() < n) state_.resize(n, kUntouched);
+  if (state_[u] != kUntouched) return;  // first touch only
+  state_[u] = kTouched;
+  // A document the graph allocated since the diff began had no rank; it
+  // enters at its no-in-link fixed point (1-d), where a §3.1 insert
+  // settles too.
+  const double rank = u < ranks_.size() ? ranks_[u] : 0.0;
+  ranks_.resize(n, 1.0 - options_.damping);
+  sources_.push_back({u, rank, graph_.out_neighbors(u)});
+}
+
+void EmissionDiff::mark_deleted(NodeId v) {
+  if (v >= state_.size() || state_[v] == kUntouched) {
+    throw std::logic_error(
+        "EmissionDiff::mark_deleted: touch the document before deleting it");
+  }
+  state_[v] = kDeleted;
+  ranks_[v] = 0.0;
+}
+
+void EmissionDiff::remove_document(NodeId v) {
+  touch(v);
+  for (const NodeId u : graph_.in_neighbors(v)) touch(u);
+  graph_.isolate_node(v);
+  mark_deleted(v);
+}
+
+PropagationStats EmissionDiff::commit() {
+  state_.resize(graph_.num_nodes(), kUntouched);
+  const double d = options_.damping;
+  std::vector<std::pair<NodeId, double>> deltas;
+  std::vector<std::pair<NodeId, NodeId>> crossing;  // (source, target)
+  // A source of rank r sends d * r / |outs| on each link; a negative r
+  // withdraws what it sent.
+  const auto emit = [&](NodeId src, const std::vector<NodeId>& outs,
+                        double rank) {
+    if (outs.empty() || rank == 0.0) return;
+    const double per = d * rank / static_cast<double>(outs.size());
+    for (const NodeId w : outs) {
+      if (state_[w] == kDeleted) continue;
+      deltas.emplace_back(w, per);
+      if (placement_ != nullptr &&
+          placement_->peer_of(w) != placement_->peer_of(src)) {
+        crossing.emplace_back(src, w);
+      }
+    }
+  };
+  for (const Source& s : sources_) {
+    emit(s.node, s.outs, -s.rank);
+    emit(s.node, graph_.out_neighbors(s.node), ranks_[s.node]);
+    if (ranks_[s.node] != s.rank || state_[s.node] == kDeleted) {
+      last_touched_.push_back(s.node);  // inserted or deleted
+    }
+  }
+  seeds_ = deltas.size();
+  // One message per (source, target) pair carries both halves.
+  std::sort(crossing.begin(), crossing.end());
+  const auto messages =
+      std::unique(crossing.begin(), crossing.end()) - crossing.begin();
+
+  const Digraph snapshot = graph_.freeze();
+  IncrementalPagerank engine(snapshot, ranks_, options_, placement_);
+  PropagationStats stats = engine.inject_batch(std::move(deltas));
+  stats.cross_peer_messages += static_cast<std::uint64_t>(messages);
+  last_touched_.insert(last_touched_.end(), engine.last_touched().begin(),
+                       engine.last_touched().end());
+  std::sort(last_touched_.begin(), last_touched_.end());
+  last_touched_.erase(std::unique(last_touched_.begin(), last_touched_.end()),
+                      last_touched_.end());
+  return stats;
 }
 
 PropagationStats insert_document(MutableDigraph& g,
@@ -206,35 +275,15 @@ PropagationStats insert_document(MutableDigraph& g,
   if (new_id_out != nullptr) *new_id_out = id;
   const Digraph snapshot = g.freeze();
   IncrementalPagerank engine(snapshot, ranks, options);
-  // §3.1: seed with the initial constant and send updates to out-links...
-  PropagationStats stats = engine.seed_and_propagate(id);
-  // ...then "the system eventually reconverges": the new document has no
-  // in-links yet, so its own recompute settles at (1-d); the correction
-  // relative to the seed propagates like any other update.
-  const double true_rank = 1.0 - options.damping;
-  const double correction = true_rank - ranks[id];
-  ranks[id] = true_rank;
-  if (snapshot.out_degree(id) > 0 && correction != 0.0) {
-    const double fwd = options.damping * correction /
-                       static_cast<double>(snapshot.out_degree(id));
-    for (const NodeId w : snapshot.out_neighbors(id)) {
-      const auto more = engine.inject(w, fwd);
-      stats.updates_delivered += more.updates_delivered;
-      stats.cross_peer_messages += more.cross_peer_messages;
-      stats.nodes_covered += more.nodes_covered;  // upper bound; may recount
-      stats.path_length = std::max(stats.path_length,
-                                   more.path_length + 1);
-    }
-  }
-  return stats;
+  return engine.seed_and_correct(id);
 }
 
 PropagationStats delete_document(MutableDigraph& g,
                                  std::vector<double>& ranks, NodeId node,
                                  const PagerankOptions& options) {
-  const Digraph snapshot = g.freeze();
-  IncrementalPagerank engine(snapshot, ranks, options);
-  return engine.propagate_full_delete(g, node);
+  EmissionDiff diff(g, ranks, options);
+  diff.remove_document(node);
+  return diff.commit();
 }
 
 }  // namespace dprank

@@ -9,28 +9,33 @@
 // increment to its rank and, if the change is still significant relative
 // to its rank (> epsilon), forwards d * increment / outdeg to its own
 // out-links — the geometric decay pictured in Figure 2 (G sends 1/3, H
-// forwards 1/6). A deletion sends the document's rank negated (§3.1,
-// §4.7) and the system reconverges.
+// forwards 1/6). A deletion withdraws the document's rank and the
+// system reconverges (§3.1, §4.7).
 //
 // Table 4 measures, per insert, the longest propagation path and the set
 // of documents reached ("node coverage ... an upper bound on the number
 // of messages a document insert can generate").
 //
-// Mass conservation under deletion: the unnormalized Eq. 1 form carries
-// rank mass ~N across the system. A full delete (propagate_full_delete /
-// delete_document) removes document v's mass R(v) deliberately: each
-// out-link loses d * R(v)/outdeg(v) (the negated §3.1 update), the
-// (1-d) base share and the epsilon-truncated cascade tail simply leave
-// the system with the document, and the in-link sources' out-degrees are
-// NOT re-normalized (a second-order effect the paper's protocol does not
-// model — their remaining targets keep the slightly-stale per-link
-// share until those sources next recompute). The global rank sum
-// therefore drops by approximately R(v) per delete; stream consumers
-// that audit mass must treat deletes as accounted withdrawals, not
-// leaks. What a full delete guarantees is the absence of *dangling*
-// rank: the deleted document's own rank is zeroed in the same call that
-// isolates it, so no query can serve a rank for a document that no
-// longer exists.
+// Structural writes other than the §3.1 insert (deletes, edge adds and
+// removes, a stream batch of any of these) go through EmissionDiff. A
+// delete changes more than the victim's own emissions: each of its in-link
+// sources loses an out-link, so that source's rank must be re-spread over
+// the links it keeps, or later cascades withdraw more per link than the
+// link ever carried. EmissionDiff snapshots every source whose out-list
+// changes, applies the change, and sends each old target
+// -d * r_old / outdeg_old and each current target +d * r_new / outdeg_new
+// in one inject_batch cascade. (On updating PageRank as vertices and
+// edges change, see Engström, "PageRank for evolving link structures",
+// arXiv:1401.6092.)
+//
+// Mass under deletion: the unnormalized Eq. 1 form carries rank mass ~N
+// across the system. A deleted document's own mass leaves with it: its
+// emissions are withdrawn and its (1-d) base share is not replaced, so
+// the rank sum drops to the smaller graph's fixed point instead of being
+// conserved. Stream consumers that audit mass must treat deletes as
+// accounted withdrawals, not leaks. The deleted document's rank is zeroed
+// in the same write that isolates it, so no query can serve a rank for a
+// document that no longer exists.
 
 #include <cstdint>
 #include <utility>
@@ -71,10 +76,15 @@ class IncrementalPagerank {
   /// probe; the rank vector is unchanged afterwards).
   PropagationStats probe_insert(NodeId node);
 
-  /// Document deletion (§3.1): propagate the node's rank negated to its
-  /// out-links. Does not modify the graph; pair with
-  /// MutableDigraph::isolate_node for a full delete. Mutates ranks.
-  PropagationStats propagate_delete(NodeId node);
+  /// §3.1 insert of a document the snapshot just gained (out-links only,
+  /// no in-links yet): seed_and_propagate, then "the system eventually
+  /// reconverges" the document itself to its no-in-link fixed point
+  /// (1-d) and propagates that correction like any other update.
+  /// cross_peer_messages bills the seed's messages and both cascades;
+  /// nodes_covered counts distinct documents reached. last_touched()
+  /// afterwards holds the document and every document either cascade
+  /// moved, once each. Mutates ranks.
+  PropagationStats seed_and_correct(NodeId node);
 
   /// Raw increment injection: deliver `delta` to `node` at depth 0 and
   /// run the cascade. Mutates ranks.
@@ -90,22 +100,12 @@ class IncrementalPagerank {
   /// delta rather than each piece). Mutates ranks.
   PropagationStats inject_batch(std::vector<std::pair<NodeId, double>> deltas);
 
-  /// Full document deletion paired with the mutable graph: propagate the
-  /// negated rank over this engine's (pre-delete) snapshot, then isolate
-  /// `node` in `g` and zero its rank — one call, so a stream delete can
-  /// never leave a dangling rank between the cascade and the isolation.
-  /// `g` must be the graph this engine's snapshot was frozen from (same
-  /// node count and adjacency for `node`). See the header comment for
-  /// the mass-conservation consequence: the system's rank sum drops by
-  /// ~R(node) by design.
-  PropagationStats propagate_full_delete(MutableDigraph& g, NodeId node);
-
   /// Distinct documents whose rank the most recent cascade changed
   /// (valid until the next cascade; empty after probe_insert, which
   /// restores every touched rank). Populated by every mutating entry
-  /// point: seed_and_propagate and propagate_delete include the seeded/
-  /// deleted document itself (its rank was rewritten even though the
-  /// cascade stats do not count it), inject and inject_batch include the
+  /// point: seed_and_propagate and seed_and_correct include the seeded
+  /// document itself (its rank was rewritten even though the cascade
+  /// stats do not count it), inject and inject_batch include the
   /// injection points. Consumers use this to refresh dependent state,
   /// e.g. index entries (§2.4.2) or a live top-k cache. May therefore
   /// hold one more entry than PropagationStats::nodes_covered.
@@ -123,14 +123,9 @@ class IncrementalPagerank {
   PropagationStats run_cascade(std::vector<WorkItem> initial, bool restore);
   void deliver(const WorkItem& item, PropagationStats& stats,
                std::vector<WorkItem>& queue, bool restore);
-  /// Record `node` in last_touched_ after a cascade that rewrote its
-  /// rank outside deliver() (seed re-seeding, delete zeroing).
-  void touch_seed(NodeId node);
-  /// Initial deltas from `node` to its out-links at depth 1, as if the
-  /// node's rank just became `rank_value`. Cross-peer seed messages are
-  /// tallied into `cross_out` when a placement is attached.
-  std::vector<WorkItem> make_seed_items(NodeId node, double rank_value,
-                                        std::uint64_t& cross_out);
+  /// Seed `node` with the initial rank and cascade from it; `restore`
+  /// undoes every rank change afterwards (probe_insert).
+  PropagationStats seed(NodeId node, bool restore);
 
   const Digraph& graph_;
   std::vector<double>& ranks_;
@@ -144,18 +139,84 @@ class IncrementalPagerank {
   std::vector<NodeId> last_touched_;
 };
 
+/// The one write path for structural changes (see the header comment).
+/// A write is: (1) touch() every source before its out-list changes,
+/// (2) apply the change to the graph and mark_deleted() the documents it
+/// deleted, (3) commit() once, which diffs the emissions and runs the
+/// cascade. Dead targets receive nothing: a deleted document's mass
+/// leaves with it.
+class EmissionDiff {
+ public:
+  /// `placement` may be nullptr; cross_peer_messages is then zero. With
+  /// a placement, commit() bills one message per (source, target) pair
+  /// whose emission changed and that crosses peers, plus the cascade's
+  /// cross-peer forwards. Throws std::invalid_argument unless `ranks`
+  /// covers `g`.
+  EmissionDiff(MutableDigraph& g, std::vector<double>& ranks,
+               const PagerankOptions& options,
+               const Placement* placement = nullptr);
+
+  /// Record `u`'s rank and out-list on first touch; later touches
+  /// are no-ops. Call BEFORE u's out-list changes. An id the graph just
+  /// allocated (an insert) grows `ranks`: the document enters at its
+  /// no-in-link fixed point (1-d). Throws std::out_of_range for an id the
+  /// graph does not have.
+  void touch(NodeId u);
+
+  /// `v` was deleted by this write (touched, then isolated): its rank is
+  /// zeroed and it receives no emissions. Throws std::logic_error if `v`
+  /// was not touched first, since its old emissions would go unwithdrawn.
+  void mark_deleted(NodeId v);
+
+  /// A whole document delete: touch `v` and each of its in-link sources,
+  /// isolate `v`, mark_deleted(v). Throws std::out_of_range for an id
+  /// the graph does not have.
+  void remove_document(NodeId v);
+
+  /// Emit the per-(source, target) deltas, old emissions first, each
+  /// source in first-touch order, and run one inject_batch cascade over a
+  /// snapshot of the changed graph. Call once.
+  PropagationStats commit();
+
+  /// (source, target) deltas the commit emitted, before inject_batch
+  /// coalesced them per target.
+  [[nodiscard]] std::uint64_t seeds() const { return seeds_; }
+
+  /// After commit(), ascending and once each: every document the cascade
+  /// moved, plus the inserted and deleted ones.
+  [[nodiscard]] const std::vector<NodeId>& last_touched() const {
+    return last_touched_;
+  }
+
+ private:
+  struct Source {
+    NodeId node;
+    double rank;
+    std::vector<NodeId> outs;
+  };
+  enum : std::uint8_t { kUntouched = 0, kTouched = 1, kDeleted = 2 };
+
+  MutableDigraph& graph_;
+  std::vector<double>& ranks_;
+  PagerankOptions options_;
+  const Placement* placement_;
+  std::vector<Source> sources_;  // first-touch order
+  std::vector<std::uint8_t> state_;
+  std::uint64_t seeds_ = 0;
+  std::vector<NodeId> last_touched_;
+};
+
 /// Full document insertion against a mutable graph: adds the node with
-/// its out-links, seeds it, and returns the propagation stats measured on
-/// a CSR snapshot. Convenience used by examples/tests; the Table 4 bench
-/// uses IncrementalPagerank directly.
+/// its out-links and runs IncrementalPagerank::seed_and_correct on a CSR
+/// snapshot. Convenience used by examples/tests; the Table 4 bench uses
+/// IncrementalPagerank directly.
 PropagationStats insert_document(MutableDigraph& g,
                                  std::vector<double>& ranks,
                                  const std::vector<NodeId>& out_links,
                                  const PagerankOptions& options,
                                  NodeId* new_id_out = nullptr);
 
-/// Full document deletion: propagates the negated rank, then isolates the
-/// node in the graph and zeroes its rank.
+/// Full document deletion: EmissionDiff::remove_document, then commit.
 PropagationStats delete_document(MutableDigraph& g,
                                  std::vector<double>& ranks, NodeId node,
                                  const PagerankOptions& options);

@@ -1,6 +1,5 @@
 #include "stream/ingest_coordinator.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -88,26 +87,7 @@ IngestCoordinator::IngestCoordinator(MutableDigraph graph,
     throw std::invalid_argument("IngestCoordinator: zero batch_size");
   }
   deleted_.assign(graph_.num_nodes(), 0);
-  snap_epoch_.assign(graph_.num_nodes(), 0);
   pending_.reserve(config_.batch_size);
-}
-
-void IngestCoordinator::snapshot_source(NodeId u,
-                                        std::vector<SourceSnapshot>& snaps) {
-  // An insert allocated the id a moment ago: grow the parallel arrays
-  // (rank 0 until the post-mutation assignment; tombstone flag is grown
-  // by apply_structural_event itself).
-  if (ranks_.size() < graph_.num_nodes()) {
-    ranks_.resize(graph_.num_nodes(), 0.0);
-    snap_epoch_.resize(graph_.num_nodes(), 0);
-  }
-  if (snap_epoch_[u] == batch_epoch_) return;  // first touch only
-  snap_epoch_[u] = batch_epoch_;
-  SourceSnapshot s;
-  s.node = u;
-  s.rank = ranks_[u];
-  s.outs = graph_.out_neighbors(u);
-  snaps.push_back(std::move(s));
 }
 
 IngestBatchStats IngestCoordinator::flush() {
@@ -119,67 +99,25 @@ IngestBatchStats IngestCoordinator::flush() {
   // dprank-lint: allow(wall-clock)
   const auto t0 = std::chrono::steady_clock::now();
 
-  ++batch_epoch_;
-  std::vector<SourceSnapshot> snaps;
-  std::vector<NodeId> inserted;
-  std::vector<NodeId> deleted_now;
-  const auto touch = [this, &snaps](NodeId u) { snapshot_source(u, snaps); };
+  EmissionDiff diff(graph_, ranks_, config_.options);
+  const auto touch = [&diff](NodeId u) { diff.touch(u); };
 
   // Tier 1: structure, in stream order (identical across batch sizes).
+  // The hook snapshots each source; an inserted document enters at its
+  // no-in-link fixed point (1-d), and in-links it gains later in the
+  // batch arrive through the emission diff of their sources.
   for (const StreamEvent& ev : pending_) {
-    const bool applied = apply_structural_event(graph_, deleted_, ev, touch);
-    if (!applied) continue;
-    if (ev.kind == StreamEvent::Kind::kInsert) inserted.push_back(ev.node);
-    if (ev.kind == StreamEvent::Kind::kDelete) deleted_now.push_back(ev.node);
-  }
-
-  // Rank assignments outside the cascade: an inserted document enters at
-  // its no-in-link fixed point (1-d) — in-links gained later in the same
-  // batch arrive through the emission diff of their sources — and a
-  // deleted document carries no rank from the instant it is isolated.
-  const double d = config_.options.damping;
-  for (const NodeId id : inserted) {
-    if (deleted_[id] == 0) ranks_[id] = 1.0 - d;
-  }
-  for (const NodeId v : deleted_now) ranks_[v] = 0.0;
-
-  // Tier 2: fold the batch into one emission diff. Old emissions use the
-  // snapshotted (pre-batch) rank and out-list; new emissions use the
-  // current ones. Per-target sums coalesce naturally in inject_batch.
-  std::vector<std::pair<NodeId, double>> deltas;
-  for (const SourceSnapshot& s : snaps) {
-    if (!s.outs.empty() && s.rank != 0.0) {
-      const double per =
-          d * s.rank / static_cast<double>(s.outs.size());
-      for (const NodeId w : s.outs) {
-        if (deleted_[w] == 0) deltas.emplace_back(w, -per);
-      }
-    }
-    const std::vector<NodeId>& outs = graph_.out_neighbors(s.node);
-    if (!outs.empty() && ranks_[s.node] != 0.0) {
-      const double per =
-          d * ranks_[s.node] / static_cast<double>(outs.size());
-      for (const NodeId w : outs) {
-        if (deleted_[w] == 0) deltas.emplace_back(w, per);
-      }
+    if (apply_structural_event(graph_, deleted_, ev, touch) &&
+        ev.kind == StreamEvent::Kind::kDelete) {
+      diff.mark_deleted(ev.node);
     }
   }
 
+  // Tier 2: the batch's emission diff, one cascade.
   out.events = pending_.size();
-  out.coalesced_seeds = deltas.size();
-  const Digraph snapshot = graph_.freeze();
-  IncrementalPagerank engine(snapshot, ranks_, config_.options);
-  out.cascade = engine.inject_batch(std::move(deltas));
-
-  last_batch_touched_ = engine.last_touched();
-  last_batch_touched_.insert(last_batch_touched_.end(), inserted.begin(),
-                             inserted.end());
-  last_batch_touched_.insert(last_batch_touched_.end(), deleted_now.begin(),
-                             deleted_now.end());
-  std::sort(last_batch_touched_.begin(), last_batch_touched_.end());
-  last_batch_touched_.erase(
-      std::unique(last_batch_touched_.begin(), last_batch_touched_.end()),
-      last_batch_touched_.end());
+  out.cascade = diff.commit();
+  out.coalesced_seeds = diff.seeds();
+  last_batch_touched_ = diff.last_touched();
 
   events_applied_ += pending_.size();
   pending_.clear();
@@ -265,8 +203,6 @@ void IngestCoordinator::validate() const {
                    "rank vector out of step with the live graph");
   DPRANK_INVARIANT(deleted_.size() == graph_.num_nodes(), kSub,
                    "tombstone array out of step with the live graph");
-  DPRANK_INVARIANT(snap_epoch_.size() == graph_.num_nodes(), kSub,
-                   "snapshot-epoch array out of step with the live graph");
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     if (deleted_[v] == 0) continue;
     DPRANK_INVARIANT(ranks_[v] == 0.0, kSub,

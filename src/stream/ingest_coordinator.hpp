@@ -12,20 +12,19 @@
 //     per-event and batched ingest comparable, and what lets remove-edge
 //     ordinals resolve deterministically).
 //  2. RANK, per batch (the coalescing path): instead of cascading once
-//     per event, the batch is folded into one emission diff. For every
-//     document whose out-links or rank-at-the-source changed, the batch
-//     records a first-touch snapshot (pre-batch out-list + rank); after
-//     all mutations, each such source contributes
+//     per event, the whole batch is one EmissionDiff, the write path
+//     every structural change shares (pagerank/incremental.hpp). Tier 1's
+//     hook touches each document before its out-links change; after all
+//     mutations, each touched source contributes
 //       -d * rank_old / outdeg_old   to every old out-neighbor, and
-//       +d * rank_new / outdeg_new   to every current out-neighbor.
-//     The per-target sums — a document hit by several events in the
-//     batch gets ONE coalesced delta — are injected as a single
-//     IncrementalPagerank::inject_batch cascade over one frozen CSR
-//     snapshot. Deltas aimed at deleted documents are dropped (their
-//     mass leaves with the document; see pagerank/incremental.hpp).
-//     Inserted documents enter at their no-in-link fixed point (1-d);
-//     deletes zero the victim's rank in the same batch that isolates it,
-//     so a served rank can never be dangling.
+//       +d * rank_new / outdeg_new   to every current out-neighbor,
+//     and the per-target sums — a document hit by several events in the
+//     batch gets ONE coalesced delta — run as a single inject_batch
+//     cascade. Deltas aimed at deleted documents are dropped (their mass
+//     leaves with the document). Inserted documents enter at their
+//     no-in-link fixed point (1-d); deletes zero the victim's rank in the
+//     same batch that isolates it, so a served rank can never be
+//     dangling.
 //  3. RECONVERGENCE, every reconverge_every_events offered events: the
 //     pending batch is flushed and a full distributed run —
 //     run_chaos_campaign over the frozen current graph, churn/crash
@@ -176,16 +175,6 @@ class IngestCoordinator {
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
-  struct SourceSnapshot {
-    NodeId node = 0;
-    double rank = 0.0;
-    std::vector<NodeId> outs;
-  };
-
-  /// First-touch snapshot of `u` for the current batch (grows the rank /
-  /// tombstone / marker arrays when `u` was just allocated).
-  void snapshot_source(NodeId u, std::vector<SourceSnapshot>& snaps);
-
   MutableDigraph graph_;
   std::vector<double> ranks_;
   std::vector<std::uint8_t> deleted_;
@@ -199,11 +188,6 @@ class IngestCoordinator {
   std::uint64_t reconverge_cycles_ = 0;
   std::vector<NodeId> last_batch_touched_;
   std::vector<double> mass_ratios_;
-
-  // First-touch markers: snap_epoch_[v] == batch_epoch_ means v is
-  // already snapshotted for the in-flight batch.
-  std::uint32_t batch_epoch_ = 0;
-  std::vector<std::uint32_t> snap_epoch_;
   std::uint32_t batches_since_sweep_ = 0;
 };
 

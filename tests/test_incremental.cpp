@@ -133,20 +133,17 @@ TEST(Incremental, DeleteThenExactRecomputeAgree) {
   MutableDigraph g(base);
   std::vector<double> ranks = centralized_pagerank(base, 0.85, 1e-13).ranks;
 
-  // Pick a document with out-links but no in-links: the paper's delete
-  // protocol propagates the negated rank along out-links; a victim with
-  // in-links would also change its sources' out-degrees, a second-order
-  // effect the protocol (and this test) does not model.
+  // A victim with out-links and several in-links: the delete withdraws
+  // its emissions AND re-spreads each in-link source's rank over the
+  // links that source keeps.
   NodeId victim = base.num_nodes();
   for (NodeId v = 0; v < base.num_nodes(); ++v) {
-    if (base.out_degree(v) > 0 && base.in_degree(v) == 0) {
+    if (base.out_degree(v) > 0 && base.in_degree(v) >= 3) {
       victim = v;
       break;
     }
   }
-  if (victim == base.num_nodes()) {
-    GTEST_SKIP() << "no in-degree-0 document in this graph seed";
-  }
+  ASSERT_LT(victim, base.num_nodes());
   const auto stats = delete_document(g, ranks, victim, opts(1e-7));
   EXPECT_GT(stats.updates_delivered, 0u);
   EXPECT_TRUE(g.is_isolated(victim));
@@ -197,8 +194,12 @@ TEST(Incremental, ValidatesNodeIds) {
   IncrementalPagerank engine(g, ranks, opts(1e-3));
   EXPECT_THROW(engine.seed_and_propagate(6), std::out_of_range);
   EXPECT_THROW(engine.probe_insert(100), std::out_of_range);
-  EXPECT_THROW(engine.propagate_delete(6), std::out_of_range);
+  EXPECT_THROW(engine.seed_and_correct(6), std::out_of_range);
   EXPECT_THROW(engine.inject(6, 0.1), std::out_of_range);
+  MutableDigraph mg(g);
+  EmissionDiff diff(mg, ranks, opts(1e-3));
+  EXPECT_THROW(diff.remove_document(6), std::out_of_range);
+  EXPECT_THROW(diff.touch(6), std::out_of_range);
 }
 
 TEST(Incremental, RankVectorSizeValidated) {
@@ -220,11 +221,23 @@ TEST(Incremental, LastTouchedPopulatedByEveryMutatingEntryPoint) {
     EXPECT_NE(std::find(touched.begin(), touched.end(), 0u), touched.end())
         << "seed node missing from last_touched";
   }
-  {  // propagate_delete: the deleted document + its cascade targets
-    std::vector<double> ranks(6, 1.0);
+  {  // seed_and_correct: seed + both cascades, each document once
+    std::vector<double> ranks(6, 0.0);
     IncrementalPagerank engine(g, ranks, opts(1e-9, 1.0));
-    (void)engine.propagate_delete(0);
-    const auto& touched = engine.last_touched();
+    const auto stats = engine.seed_and_correct(0);
+    auto touched = engine.last_touched();
+    EXPECT_EQ(touched.size(), 6u);  // G itself + H, I, J, K, L
+    EXPECT_EQ(stats.nodes_covered, 5u);
+    std::sort(touched.begin(), touched.end());
+    EXPECT_EQ(std::unique(touched.begin(), touched.end()), touched.end());
+  }
+  {  // EmissionDiff delete: the deleted document + its cascade targets
+    std::vector<double> ranks(6, 1.0);
+    MutableDigraph mg(g);
+    EmissionDiff diff(mg, ranks, opts(1e-9, 1.0));
+    diff.remove_document(0);
+    (void)diff.commit();
+    const auto& touched = diff.last_touched();
     EXPECT_NE(std::find(touched.begin(), touched.end(), 0u), touched.end())
         << "deleted node missing from last_touched";
     EXPECT_GE(touched.size(), 4u);  // G + at least H, I, J
@@ -274,23 +287,72 @@ TEST(Incremental, InjectBatchValidatesNodeIds) {
   EXPECT_THROW(engine.inject_batch({{1, 0.1}, {6, 0.1}}), std::out_of_range);
 }
 
-TEST(Incremental, PropagateFullDeleteLeavesNoDanglingRank) {
+TEST(Incremental, EmissionDiffDeleteLeavesNoDanglingRank) {
   const Digraph base = paper_graph(500, 12);
   MutableDigraph g(base);
   std::vector<double> ranks = centralized_pagerank(base, 0.85, 1e-13).ranks;
-  const Digraph snapshot = g.freeze();
-  IncrementalPagerank engine(snapshot, ranks, opts(1e-7));
+  EmissionDiff diff(g, ranks, opts(1e-7));
 
   const NodeId victim = 42;
-  (void)engine.propagate_full_delete(g, victim);
+  diff.remove_document(victim);
+  (void)diff.commit();
   EXPECT_TRUE(g.is_isolated(victim));
   EXPECT_DOUBLE_EQ(ranks[victim], 0.0);
-  const auto& touched = engine.last_touched();
+  const auto& touched = diff.last_touched();
   EXPECT_NE(std::find(touched.begin(), touched.end(), victim), touched.end());
 
-  // Wrong graph (size mismatch with the snapshot) is rejected.
+  // A rank vector that does not cover the graph is rejected.
   MutableDigraph other(NodeId{3});
-  EXPECT_THROW(engine.propagate_full_delete(other, 1), std::invalid_argument);
+  EXPECT_THROW(EmissionDiff(other, ranks, opts(1e-7)), std::invalid_argument);
+}
+
+TEST(Incremental, EmissionDiffRespreadsInLinkSources) {
+  // 0 -> {1, 2}, 1 -> {2}: deleting 2 leaves 0 with one out-link, so 1
+  // gains 0's whole share, d * r0, instead of half of it; 1's emission
+  // to 2 dies with 2.
+  MutableDigraph g(NodeId{3});
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 2);
+  std::vector<double> ranks{1.0, 1.0, 1.0};
+  EmissionDiff diff(g, ranks, opts(1e-12, 0.5));
+  diff.remove_document(2);
+  const auto stats = diff.commit();
+  EXPECT_EQ(diff.seeds(), 2u);  // 0 -> 1 withdrawn and re-sent; 2 is dead
+  EXPECT_EQ(stats.updates_delivered, 1u);  // one coalesced delta, to 1
+  EXPECT_DOUBLE_EQ(ranks[0], 1.0);
+  EXPECT_DOUBLE_EQ(ranks[1], 1.0 + 0.5 * 1.0 - 0.5 * 1.0 / 2.0);
+  EXPECT_DOUBLE_EQ(ranks[2], 0.0);
+}
+
+TEST(Incremental, EmissionDiffBillsEachCrossPeerPairOnce) {
+  // 0 -> {1, 2}, all on different peers; removing edge 0 -> 2 changes
+  // the emission on 0 -> 1 (one message carries both halves) and
+  // withdraws 0 -> 2: two seed messages. 1 and 2 have no out-links, so
+  // the cascade forwards nothing.
+  MutableDigraph g(NodeId{3});
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  std::vector<double> ranks{1.0, 1.0, 1.0};
+  const auto placement = Placement::random(3, 1000, 5);
+  ASSERT_NE(placement.peer_of(0), placement.peer_of(1));
+  ASSERT_NE(placement.peer_of(0), placement.peer_of(2));
+  EmissionDiff diff(g, ranks, opts(1e-9), &placement);
+  diff.touch(0);
+  g.remove_edge(0, 2);
+  const auto stats = diff.commit();
+  EXPECT_EQ(diff.seeds(), 3u);
+  EXPECT_EQ(stats.cross_peer_messages, 2u);
+}
+
+TEST(Incremental, EmissionDiffDeleteNeedsTouchFirst) {
+  MutableDigraph g(NodeId{2});
+  g.add_edge(0, 1);
+  std::vector<double> ranks{1.0, 1.0};
+  EmissionDiff diff(g, ranks, opts(1e-9));
+  g.isolate_node(1);  // isolated behind the diff's back: 0's old
+                      // emissions were never snapshotted
+  EXPECT_THROW(diff.mark_deleted(1), std::logic_error);
 }
 
 TEST(Incremental, IsolateNodeReturnsRemovedEdgeCount) {

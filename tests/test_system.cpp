@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/generator.hpp"
+#include "graph/mutable_digraph.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
 
@@ -173,6 +177,102 @@ TEST_F(SystemTest, IncrementalSearchPolicyWorksOnLiveSystem) {
   EXPECT_LE(inc.ids_transferred, base.ids_transferred);
   const std::set<NodeId> base_set(base.hits.begin(), base.hits.end());
   for (const NodeId d : inc.hits) EXPECT_TRUE(base_set.contains(d));
+}
+
+// The paper's search testbed (11k documents, 1880 terms, 50 peers; §4.9)
+// with a mirror of its live graph, for checking ranks after deletes. A
+// delete must re-spread each in-link source's rank over the links that
+// source keeps; withdrawing only the victim's own emissions drove live
+// ranks below the teleport floor within a few hundred deletes.
+struct DeleteTestbed {
+  explicit DeleteTestbed(std::uint64_t seed)
+      : corpus(Corpus::synthesize({.seed = seed})),
+        graph(paper_graph(corpus.num_docs(), seed)),
+        mirror(graph),
+        system(graph, corpus, config(seed)),
+        rng(seed) {
+    (void)system.converge();
+  }
+
+  static P2PSystemConfig config(std::uint64_t seed) {
+    P2PSystemConfig cfg;
+    cfg.num_peers = 50;
+    cfg.seed = seed;
+    return cfg;
+  }
+
+  NodeId random_live() {
+    NodeId v = 0;
+    do {
+      v = static_cast<NodeId>(rng.bounded(system.num_documents()));
+    } while (!system.is_live(v));
+    return v;
+  }
+
+  void remove(NodeId v) {
+    system.remove_document(v);
+    mirror.isolate_node(v);
+  }
+
+  // validate() is clean, no live rank sits below half the teleport
+  // floor, and the live ranks' mean relative error against a
+  // centralized solve of the live graph is at most 5e-3.
+  void expect_sound() const {
+    const auto issues = system.validate();
+    EXPECT_TRUE(issues.empty())
+        << issues.size() << " issues, first: " << issues.front();
+    const auto exact =
+        centralized_pagerank(mirror.freeze(), 0.85, 1e-10).ranks;
+    double min_rank = 1e300;
+    double error = 0.0;
+    std::uint64_t live = 0;
+    for (NodeId d = 0; d < system.num_documents(); ++d) {
+      if (!system.is_live(d)) continue;
+      min_rank = std::min(min_rank, system.rank_of(d));
+      error += std::abs(system.rank_of(d) - exact[d]) / exact[d];
+      ++live;
+    }
+    EXPECT_GE(min_rank, 0.5 * (1.0 - 0.85));
+    EXPECT_LE(error / static_cast<double>(live), 5e-3);
+  }
+
+  Corpus corpus;
+  Digraph graph;
+  MutableDigraph mirror;
+  P2PSystem system;
+  Rng rng;
+};
+
+class SystemDeleteSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SystemDeleteSeeds, RandomDeletesKeepRanksSound) {
+  DeleteTestbed bed(GetParam());
+  for (int i = 0; i < 400; ++i) bed.remove(bed.random_live());
+  bed.expect_sound();
+}
+
+INSTANTIATE_TEST_SUITE_P(Testbed, SystemDeleteSeeds,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(SystemDelete, InsertedDocumentsLinkingEachOther) {
+  // Inserted documents link to earlier inserted ones, so deleting them
+  // removes documents that have in-links from other new documents.
+  DeleteTestbed bed(1);
+  std::vector<NodeId> inserted;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<NodeId> links{bed.random_live(), bed.random_live()};
+    for (int k = 0; k < 3 && !inserted.empty(); ++k) {
+      links.push_back(inserted[bed.rng.bounded(inserted.size())]);
+    }
+    inserted.push_back(bed.system.add_document({1, 2}, links));
+    ASSERT_EQ(bed.mirror.add_document(links), inserted.back());
+  }
+  // Every other one, newest first, then as many random documents.
+  for (std::size_t i = inserted.size(); i >= 2; i -= 2) {
+    bed.remove(inserted[i - 1]);
+  }
+  for (int i = 0; i < 30; ++i) bed.remove(bed.random_live());
+  bed.expect_sound();
 }
 
 }  // namespace

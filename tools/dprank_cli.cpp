@@ -410,7 +410,13 @@ int cmd_system(const Args& args) {
   Rng rng(cp.seed ^ 0x0B5ULL);
   SearchPolicy top10;
   top10.forward_fraction = 0.10;
-  std::vector<NodeId> inserted;
+  const auto random_live = [&] {
+    NodeId v = 0;
+    do {
+      v = static_cast<NodeId>(rng.bounded(system.num_documents()));
+    } while (!system.is_live(v));
+    return v;
+  };
   for (std::uint64_t op = 0; op < ops; ++op) {
     const auto kind = rng.bounded(3);
     if (kind == 0) {
@@ -419,22 +425,15 @@ int cmd_system(const Args& args) {
         terms.push_back(static_cast<TermId>(rng.bounded(cp.vocabulary)));
       }
       std::vector<NodeId> links;
-      for (int l = 0; l < 3; ++l) {
-        NodeId v = static_cast<NodeId>(rng.bounded(system.num_documents()));
-        while (!system.is_live(v)) {
-          v = static_cast<NodeId>(rng.bounded(system.num_documents()));
-        }
-        links.push_back(v);
-      }
-      inserted.push_back(system.add_document(terms, links));
-      std::cout << "  insert doc-" << inserted.back() << "\n";
-    } else if (kind == 1 && !inserted.empty()) {
-      const NodeId victim = inserted.back();
-      inserted.pop_back();
-      if (system.is_live(victim)) {
-        system.remove_document(victim);
-        std::cout << "  delete doc-" << victim << "\n";
-      }
+      for (int l = 0; l < 3; ++l) links.push_back(random_live());
+      std::cout << "  insert doc-" << system.add_document(terms, links)
+                << "\n";
+    } else if (kind == 1) {
+      // Any live document: most have in-links, whose sources the delete
+      // must re-spread.
+      const NodeId victim = random_live();
+      system.remove_document(victim);
+      std::cout << "  delete doc-" << victim << "\n";
     } else {
       const std::vector<TermId> q{
           static_cast<TermId>(rng.bounded(50)),
